@@ -42,7 +42,6 @@ from .fiberring import (
     closed_form_top_chern,
     integrate,
     recursion_top_chern,
-    ring_mul,
     secant_count_via_ring,
 )
 from .normality import (
@@ -56,7 +55,7 @@ from .normality import (
     lines_in_hypersurface_through_point,
     ran_min_ambient_dim,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .secants import (
     SecantDegree,
     bisecant_degree,
@@ -116,11 +115,9 @@ __all__ = [
     "multisecant_degree",
     "multisecant_report",
     "parse_bundle",
-    "parse_rational",
     "print_bundle",
     "ran_min_ambient_dim",
     "recursion_top_chern",
-    "ring_mul",
     "secant_count_via_ring",
     "segre_coefficient",
     "segre_series",

@@ -140,19 +140,30 @@ def direct_sum(a: BundleSpec, b: BundleSpec) -> BundleSpec:
 
 
 def complete_intersection_bundle(ambient_dim: int, degrees: Sequence[int]) -> BundleSpec:
-    """O(d_1) + ... + O(d_r), the bundle cutting out CI(d_1..d_r)."""
+    """O(d_1) + ... + O(d_r), the bundle cutting out CI(d_1..d_r).
+
+    c_k is the k-th elementary symmetric function of the degrees, built
+    up one degree at a time in O(r^2) integer steps; classes of degree
+    beyond the ambient dimension are truncated away, as in the Whitney
+    product of the line bundles.
+    """
     if not degrees:
         raise ValueError("need at least one degree")
-    out = line_bundle(ambient_dim, degrees[0])
-    for d in degrees[1:]:
-        out = direct_sum(out, line_bundle(ambient_dim, d))
-    return out
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    c = [1] + [0] * len(degrees)
+    for m, d in enumerate(degrees, start=1):
+        for k in range(m, 0, -1):
+            c[k] += d * c[k - 1]
+    return BundleSpec(
+        ambient_dim, len(degrees), TruncatedClassPoly.from_coeffs(ambient_dim, c)
+    )
 
 
 # -- Chern data access ---------------------------------------------------
 
 
-def chern_coefficients(e: Bundlish) -> list[Fraction] | list[int]:
+def chern_coefficients(e: Bundlish) -> list[int | Fraction]:
     """c_0..c_r as scalars (coefficient of H^i in c_i).
 
     For a BundleSpec the list is read off the truncated total Chern class;
@@ -161,7 +172,7 @@ def chern_coefficients(e: Bundlish) -> list[Fraction] | list[int]:
     if isinstance(e, ChernVector):
         return list(e.c)
     n, r = e.ambient_dim, e.rank
-    return [e.total_chern.coeffs[i] if i <= n else Fraction(0) for i in range(r + 1)]
+    return [e.total_chern.coeffs[i] if i <= n else 0 for i in range(r + 1)]
 
 
 def rank_of(e: Bundlish) -> int:
@@ -192,15 +203,16 @@ def twist(e: Bundlish, t: int):
     return BundleSpec(n, r, TruncatedClassPoly.from_coeffs(n, coeffs))
 
 
-def top_chern_twisted(e: Bundlish, t: int) -> Fraction:
+def top_chern_twisted(e: Bundlish, t: int) -> int | Fraction:
     """The scalar c_r(E(t)) = sum_i c_i * t^(r-i).
 
-    This is the H^r coefficient of the top Chern class of the twist; for
-    ChernVector input the integers c_i feed the sum directly.
+    This is the H^r coefficient of the top Chern class of the twist,
+    evaluated by Horner's rule; integral Chern data gives an ``int``.
     """
-    r = rank_of(e)
-    cs = chern_coefficients(e)
-    return Fraction(sum(cs[i] * t ** (r - i) for i in range(r + 1)))
+    acc = 0
+    for c in chern_coefficients(e):
+        acc = acc * t + c
+    return acc
 
 
 def as_chern_vector(e: Bundlish) -> ChernVector:

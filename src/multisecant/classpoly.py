@@ -3,20 +3,23 @@
 A class on projective space P^n is written as a polynomial
 a_0 + a_1*H + ... + a_n*H^n with exact rational coefficients; everything
 of degree > n is zero in the cohomology ring, so arithmetic truncates at
-degree n.  The representation is a dense tuple of n+1 Fractions
+degree n.  The representation is a dense tuple of n+1 coefficients
 (coefficient of H^k at index k):
 
     1 + 4H + 4H^2 on P^4  ->  (1, 4, 4, 0, 0)
 
-Values are immutable; all operations are pure and return new values.
-No floating point is used anywhere.
+Coefficients are exact ``int``s, or ``Fraction``s only where a division
+forces them (a ``Fraction`` input, or inverting a unit whose constant
+term is not +-1); the two mix exactly, so integral Chern data stays
+integral.  Values are immutable; all operations are pure and return new
+values.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AmbientMismatchError, NonUnitError
 from .rationals import format_rational
@@ -31,7 +34,7 @@ class TruncatedClassPoly:
     """
 
     ambient_dim: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if self.ambient_dim < 0:
@@ -50,8 +53,8 @@ class TruncatedClassPoly:
         Shorter sequences are zero-padded; coefficients beyond degree
         ``ambient_dim`` are dropped (ring truncation).
         """
-        cs = [Fraction(c) for c in coeffs][: ambient_dim + 1]
-        cs += [Fraction(0)] * (ambient_dim + 1 - len(cs))
+        cs = list(coeffs)[: ambient_dim + 1]
+        cs += [0] * (ambient_dim + 1 - len(cs))
         return cls(ambient_dim, tuple(cs))
 
     @classmethod
@@ -73,8 +76,8 @@ class TruncatedClassPoly:
             raise ValueError(f"degree must be >= 0, got {degree}")
         if degree > ambient_dim:
             return cls.zero(ambient_dim)
-        cs = [Fraction(0)] * (ambient_dim + 1)
-        cs[degree] = Fraction(coeff)
+        cs = [0] * (ambient_dim + 1)
+        cs[degree] = coeff
         return cls(ambient_dim, tuple(cs))
 
     # -- ring operations ----------------------------------------------
@@ -101,7 +104,7 @@ class TruncatedClassPoly:
     def __mul__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
         self._check_ambient(other)
         n = self.ambient_dim
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -126,24 +129,24 @@ class TruncatedClassPoly:
         return result
 
     def scale(self, factor: int | Fraction) -> "TruncatedClassPoly":
-        f = Fraction(factor)
-        return TruncatedClassPoly(self.ambient_dim, tuple(a * f for a in self.coeffs))
+        return TruncatedClassPoly(self.ambient_dim, tuple(a * factor for a in self.coeffs))
 
     def inverse(self) -> "TruncatedClassPoly":
         """Multiplicative inverse in the truncated ring.
 
         Requires a unit, i.e. nonzero constant term; computed by the usual
         power-series recursion b_k = -(1/a_0) * sum_{i>=1} a_i b_{k-i}.
+        The inverse stays integral when a_0 = +-1.
         """
         a = self.coeffs
         if a[0] == 0:
             raise NonUnitError("cannot invert: constant term is zero")
         n = self.ambient_dim
-        inv0 = 1 / a[0]
-        b = [Fraction(0)] * (n + 1)
+        inv0 = a[0] if a[0] in (1, -1) else Fraction(1, a[0])
+        b = [0] * (n + 1)
         b[0] = inv0
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, k + 1):
                 if a[i] != 0:
                     acc += a[i] * b[k - i]
@@ -152,7 +155,7 @@ class TruncatedClassPoly:
 
     # -- queries --------------------------------------------------------
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int | Fraction:
         if not 0 <= k <= self.ambient_dim:
             raise IndexError(
                 f"degree {k} out of range for P^{self.ambient_dim}"
@@ -193,6 +196,3 @@ def binomial_power(ambient_dim: int, base_coeff: int, exponent: int) -> Truncate
     """(1 + base_coeff*H)^exponent on P^ambient_dim, truncated."""
     return TruncatedClassPoly.from_coeffs(ambient_dim, [1, base_coeff]) ** exponent
 
-
-def poly_sequence(ambient_dim: int, values: Sequence[int | Fraction]) -> TruncatedClassPoly:
-    return TruncatedClassPoly.from_coeffs(ambient_dim, values)

@@ -72,10 +72,6 @@ def _elaborated(args) -> BundleSpec | ChernVector:
     return elaborate(parse_bundle(args.expr), args.n)
 
 
-def _to_chern_vector(value: BundleSpec | ChernVector) -> ChernVector:
-    return value if isinstance(value, ChernVector) else as_chern_vector(value)
-
-
 def _verdict_lines(verdict: Verdict) -> list[str]:
     lines = [f"verdict: {verdict.outcome}", f"criterion: {verdict.citation}"]
     for hyp in verdict.hypotheses:
@@ -143,7 +139,7 @@ def _cmd_secants(args, out) -> int:
 
 
 def _cmd_trisecant(args, out) -> int:
-    cv = _to_chern_vector(_elaborated(args))
+    cv = as_chern_vector(_elaborated(args))
     closed = trisecant_closed(cv)
     double = trisecant_double_sum(cv)
     out.write(f"closed form (1/2)c_r(N(-1))c_r(N(-2)): {format_rational(closed)}\n")
@@ -177,7 +173,7 @@ def _cmd_normality(args, out) -> int:
 
 
 def _cmd_segre(args, out) -> int:
-    cv = _to_chern_vector(_elaborated(args))
+    cv = as_chern_vector(_elaborated(args))
     out.write(f"sigma_{args.k} = {segre_coefficient(cv, args.k)}\n")
     return EXIT_OK
 

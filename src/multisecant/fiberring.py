@@ -231,10 +231,6 @@ class FiberRing:
         return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
 
 
-def ring_mul(a: FiberRingElement, b: FiberRingElement) -> FiberRingElement:
-    return a * b
-
-
 def integrate(x: FiberRingElement) -> Fraction:
     """Pairing with the fundamental class.
 

@@ -12,15 +12,9 @@ from fractions import Fraction
 
 
 def format_rational(value: int | Fraction) -> str:
+    if type(value) is int:
+        return str(value)
     q = Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))

@@ -45,7 +45,7 @@ class SecantDegree:
     """
 
     value: Fraction
-    factors: tuple[Fraction, ...]
+    factors: tuple[int | Fraction, ...]
     possibly_degenerate: bool
     integral: bool
 
@@ -55,9 +55,7 @@ def multisecant_report(e: Bundlish, j: int) -> SecantDegree:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     factors = tuple(top_chern_twisted(e, -i) for i in range(j + 1))
-    value = Fraction(1, math.factorial(j + 1))
-    for f in factors:
-        value *= f
+    value = Fraction(math.prod(factors), math.factorial(j + 1))
     return SecantDegree(
         value=value,
         factors=factors,

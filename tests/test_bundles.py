@@ -56,6 +56,30 @@ class TestConstructors:
         with pytest.raises(AmbientMismatchError):
             direct_sum(line_bundle(3, 1), line_bundle(4, 1))
 
+    @pytest.mark.parametrize(
+        "n, degrees",
+        [
+            (4, [3]),
+            (4, [0]),
+            (5, [2, 3]),
+            (5, [-2, 3]),
+            (6, [0, 0, 4]),
+            (6, [-1, 2, -3, 5]),
+            (8, [2, 2, 2, 2]),
+            # r > n: classes above degree n are truncated away
+            (2, [2, 3, 4]),
+            (1, [1, -2, 3, 0]),
+            (3, [-4, 0, 5, 7]),
+        ],
+    )
+    def test_complete_intersection_matches_direct_sum_fold(self, n, degrees):
+        folded = line_bundle(n, degrees[0])
+        for d in degrees[1:]:
+            folded = direct_sum(folded, line_bundle(n, d))
+        e = complete_intersection_bundle(n, degrees)
+        assert e == folded
+        assert all(type(c) is int for c in e.total_chern.coeffs)
+
     def test_tangent_bundle(self):
         assert tangent_bundle(2).total_chern == TruncatedClassPoly.from_coeffs(2, [1, 3, 3])
         assert tangent_bundle(1).total_chern == TruncatedClassPoly.from_coeffs(1, [1, 2])

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from multisecant import AmbientMismatchError, NonUnitError, TruncatedClassPoly
+from multisecant import (
+    AmbientMismatchError,
+    ChernVector,
+    NonUnitError,
+    TruncatedClassPoly,
+    segre_series,
+)
 
 
 def poly(n, *coeffs):
@@ -75,6 +81,18 @@ class TestExamples:
             poly(2, 1) + poly(3, 1)
         with pytest.raises(AmbientMismatchError):
             poly(2, 1) * poly(3, 1)
+
+    def test_no_float_ever_appears(self):
+        # integral data stays int; the one forced division stays Fraction
+        inv = poly(3, 2, 1).inverse()
+        assert inv.coeffs == (
+            Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16)
+        )
+        segre = segre_series(ChernVector.make(6, [1, 4, 4]))
+        assert segre.coeffs == (1, -3, 4, 0, -14, 42, -84)
+        # == alone would accept floats: Fraction(1, 2) == 0.5
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert all(type(c) is int for c in segre.coeffs)
 
     def test_invert_non_unit(self):
         with pytest.raises(NonUnitError):

@@ -18,7 +18,6 @@ from multisecant import (
     line_bundle,
     multisecant_degree,
     recursion_top_chern,
-    ring_mul,
     secant_count_via_ring,
 )
 
@@ -78,9 +77,9 @@ class TestRelations:
 
     def test_shape_mismatch(self):
         with pytest.raises(AmbientMismatchError):
-            ring_mul(FiberRing(5, 2).one(), FiberRing(5, 3).one())
+            FiberRing(5, 2).one() * FiberRing(5, 3).one()
         with pytest.raises(AmbientMismatchError):
-            ring_mul(FiberRing(4, 2).one(), FiberRing(5, 2).one())
+            FiberRing(4, 2).one() * FiberRing(5, 2).one()
 
 
 def elements(ring, rng, terms=4, bound=5):
