@@ -7,10 +7,8 @@ blow-up of P^n at a point.  All arithmetic is exact rational; no floats.
 """
 
 from .bundles import (
-    BundleSpec,
     ChernVector,
     as_chern_vector,
-    chern_coefficients,
     complete_intersection_bundle,
     direct_sum,
     line_bundle,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatchError",
     "BundleExpr",
-    "BundleSpec",
     "ChernVector",
     "FiberRing",
     "FiberRingElement",
@@ -90,7 +87,6 @@ __all__ = [
     "as_chern_vector",
     "binomial",
     "bisecant_degree",
-    "chern_coefficients",
     "check_2normal",
     "check_jnormal_bundle",
     "check_jnormal_general",

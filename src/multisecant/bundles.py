@@ -1,26 +1,29 @@
 """Bundles on P^n and their class calculus.
 
-Two carriers of Chern data coexist:
+One carrier holds all Chern data: ``ChernVector``, the integers
+c_0 = 1, c_1, ..., c_r of a rank-r bundle on P^n with c_i = c_i * H^i,
+plus a degree.  The same data serves both roles in the secant formulas:
+the bundle E whose section cuts out X, and the normal bundle N of X.
 
-* ``BundleSpec`` is a split-built bundle (line bundles, Whitney sums,
-  twists, the tangent bundle) whose total Chern class lives in the
-  truncated ring of P^n.
+* Split-built bundles (line bundles, Whitney sums, twists, the tangent
+  bundle, complete intersections) have ``abstract`` False.  Their classes
+  live in the ring of P^n, so c_k = 0 for k > n, and the degree is the
+  top class c_r.
 
-* ``ChernVector`` is abstract small-codimension normal-bundle data:
-  integers c_0 = 1, c_1, ..., c_r with c_i(N) = c_i * H^i, plus the degree
-  d of the subvariety.  In this range d equals the self-intersection
-  number c_r, and the constructor enforces d = c_r unless the caller
-  explicitly opts into inconsistent data for evaluating suspect printed
-  formulas verbatim.
+* Abstract normal-bundle data (``ChernVector.make``) has ``abstract``
+  True and keeps its c_i as given, even when r > n.  In the Barth range
+  the degree d of the subvariety equals the self-intersection number
+  c_r, and ``make`` enforces d = c_r unless the caller explicitly opts
+  into inconsistent data for evaluating suspect printed formulas
+  verbatim.
 
-Both are immutable; all functions are pure.
+Values are immutable; all functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .classpoly import TruncatedClassPoly, binomial_power
 from .combinat import binomial
@@ -28,39 +31,19 @@ from .errors import AmbientMismatchError, HypothesisError
 
 
 @dataclass(frozen=True)
-class BundleSpec:
-    """A bundle on P^n presented by rank and total Chern class."""
-
-    ambient_dim: int
-    rank: int
-    total_chern: TruncatedClassPoly
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.total_chern.ambient_dim != self.ambient_dim:
-            raise AmbientMismatchError("total Chern class lives in the wrong ring")
-        if self.total_chern.coeffs[0] != 1:
-            raise ValueError("total Chern class must have constant term 1")
-        for k in range(self.rank + 1, self.ambient_dim + 1):
-            if self.total_chern.coeffs[k] != 0:
-                raise ValueError(f"c_{k} must vanish for a rank-{self.rank} bundle")
-
-    def __add__(self, other: "BundleSpec") -> "BundleSpec":
-        return direct_sum(self, other)
-
-    def twist(self, t: int) -> "BundleSpec":
-        return twist(self, t)
-
-
-@dataclass(frozen=True)
 class ChernVector:
-    """Barth-range Chern data of a codimension-r subvariety of P^n."""
+    """Chern data c_0..c_r of a rank-r bundle on P^n.
+
+    ``codim`` is the rank r: the codimension of X for normal-bundle data.
+    ``abstract`` is True for data given by ``make`` and False for
+    split-built bundles.
+    """
 
     ambient_dim: int
     codim: int
     c: tuple[int, ...]
     degree: int
+    abstract: bool
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -82,7 +65,7 @@ class ChernVector:
         degree: int | None = None,
         allow_inconsistent_degree: bool = False,
     ) -> "ChernVector":
-        """Build from c_0..c_r; degree defaults to c_r.
+        """Abstract data from c_0..c_r; degree defaults to c_r.
 
         An explicit degree different from c_r is rejected unless
         ``allow_inconsistent_degree`` is set (used only to probe printed
@@ -95,51 +78,74 @@ class ChernVector:
             raise HypothesisError(
                 f"degree {d} contradicts the self-intersection value c_{r} = {cc[r]}"
             )
-        return cls(ambient_dim, r, cc, d)
+        return _chern_data(ambient_dim, cc, True, d)
 
     @property
     def degree_consistent(self) -> bool:
         return self.degree == self.c[self.codim]
 
+    @property
+    def total_chern(self) -> TruncatedClassPoly:
+        """c_0 + c_1 H + ... + c_r H^r in the ring of P^n."""
+        return TruncatedClassPoly.from_coeffs(self.ambient_dim, self.c)
 
-Bundlish = Union[BundleSpec, ChernVector]
+    def __add__(self, other: "ChernVector") -> "ChernVector":
+        return direct_sum(self, other)
+
+
+def _chern_data(
+    ambient_dim: int, c: Sequence[int], abstract: bool, degree: int | None = None
+) -> ChernVector:
+    """The one constructor of ``ChernVector``.
+
+    Split data is a class in the ring of P^n: c_k = 0 for k > n, and the
+    degree is the top class c_r.  Abstract data keeps c and the degree
+    as given.
+    """
+    if not abstract:
+        c = [x if k <= ambient_dim else 0 for k, x in enumerate(c)]
+    c = tuple(c)
+    return ChernVector(
+        ambient_dim, len(c) - 1, c, c[-1] if degree is None else degree, abstract
+    )
 
 
 # -- constructors -------------------------------------------------------
 
 
-def line_bundle(ambient_dim: int, a: int) -> BundleSpec:
+def line_bundle(ambient_dim: int, a: int) -> ChernVector:
     """O(a) on P^n, total Chern class 1 + a*H."""
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    return BundleSpec(
-        ambient_dim, 1, TruncatedClassPoly.from_coeffs(ambient_dim, [1, a])
-    )
+    return _chern_data(ambient_dim, (1, a), False)
 
 
-def trivial_bundle(ambient_dim: int) -> BundleSpec:
+def trivial_bundle(ambient_dim: int) -> ChernVector:
     return line_bundle(ambient_dim, 0)
 
 
-def tangent_bundle(ambient_dim: int) -> BundleSpec:
+def tangent_bundle(ambient_dim: int) -> ChernVector:
     """The tangent bundle of P^n: rank n, total Chern class (1+H)^(n+1)."""
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be >= 1")
-    return BundleSpec(
-        ambient_dim, ambient_dim, binomial_power(ambient_dim, 1, ambient_dim + 1)
-    )
+    n = ambient_dim
+    return _chern_data(n, [binomial(n + 1, k) for k in range(n + 1)], False)
 
 
-def direct_sum(a: BundleSpec, b: BundleSpec) -> BundleSpec:
-    """Whitney sum: ranks add, total Chern classes multiply."""
+def direct_sum(a: ChernVector, b: ChernVector) -> ChernVector:
+    """Whitney sum of split bundles: ranks add, total Chern classes multiply."""
+    if a.abstract or b.abstract:
+        raise HypothesisError("abstract normal data cannot be summed")
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatchError(
             f"ambient dimensions differ: P^{a.ambient_dim} vs P^{b.ambient_dim}"
         )
-    return BundleSpec(a.ambient_dim, a.rank + b.rank, a.total_chern * b.total_chern)
+    c = [0] * (a.codim + b.codim + 1)
+    for i, x in enumerate(a.c):
+        for k, y in enumerate(b.c):
+            c[i + k] += x * y
+    return _chern_data(a.ambient_dim, c, False)
 
 
-def complete_intersection_bundle(ambient_dim: int, degrees: Sequence[int]) -> BundleSpec:
+def complete_intersection_bundle(ambient_dim: int, degrees: Sequence[int]) -> ChernVector:
     """O(d_1) + ... + O(d_r), the bundle cutting out CI(d_1..d_r).
 
     c_k is the k-th elementary symmetric function of the degrees, built
@@ -149,88 +155,54 @@ def complete_intersection_bundle(ambient_dim: int, degrees: Sequence[int]) -> Bu
     """
     if not degrees:
         raise ValueError("need at least one degree")
-    if ambient_dim < 1:
-        raise ValueError("ambient dimension must be >= 1")
     c = [1] + [0] * len(degrees)
     for m, d in enumerate(degrees, start=1):
         for k in range(m, 0, -1):
             c[k] += d * c[k - 1]
-    return BundleSpec(
-        ambient_dim, len(degrees), TruncatedClassPoly.from_coeffs(ambient_dim, c)
-    )
+    return _chern_data(ambient_dim, c, False)
 
 
-# -- Chern data access ---------------------------------------------------
+# -- twisting and top Chern values ----------------------------------------
 
 
-def chern_coefficients(e: Bundlish) -> list[int | Fraction]:
-    """c_0..c_r as scalars (coefficient of H^i in c_i).
-
-    For a BundleSpec the list is read off the truncated total Chern class;
-    entries of degree beyond the ambient dimension are zero in the ring.
-    """
-    if isinstance(e, ChernVector):
-        return list(e.c)
-    n, r = e.ambient_dim, e.rank
-    return [e.total_chern.coeffs[i] if i <= n else 0 for i in range(r + 1)]
-
-
-def rank_of(e: Bundlish) -> int:
-    return e.codim if isinstance(e, ChernVector) else e.rank
-
-
-def twist(e: Bundlish, t: int):
+def twist(e: ChernVector, t: int) -> ChernVector:
     """E(t) = E tensor O(t).
 
     Chern data transforms by c_k(E(t)) = sum_i binom(r-i, k-i) c_i t^(k-i)
-    with r the rank (the codimension, for abstract normal data).  Twisting
-    a ChernVector re-derives the degree from the twisted top class so the
-    result is self-consistent.
+    with r the rank.  A twisted split bundle stays split (and truncated);
+    twisted abstract data re-derives its degree from the twisted top
+    class, so the result is self-consistent.
     """
-    r = rank_of(e)
-    cs = chern_coefficients(e)
-
-    def twisted(k: int):
-        return sum(
-            binomial(r - i, k - i) * cs[i] * t ** (k - i) for i in range(k + 1)
-        )
-
-    if isinstance(e, ChernVector):
-        new_c = [int(twisted(k)) for k in range(r + 1)]
+    r, cs = e.codim, e.c
+    new_c = [
+        sum(binomial(r - i, k - i) * cs[i] * t ** (k - i) for i in range(k + 1))
+        for k in range(r + 1)
+    ]
+    if e.abstract:
         return ChernVector.make(e.ambient_dim, new_c)
-    n = e.ambient_dim
-    coeffs = [twisted(k) for k in range(min(r, n) + 1)]
-    return BundleSpec(n, r, TruncatedClassPoly.from_coeffs(n, coeffs))
+    return _chern_data(e.ambient_dim, new_c, False)
 
 
-def top_chern_twisted(e: Bundlish, t: int) -> int | Fraction:
+def top_chern_twisted(e: ChernVector, t: int) -> int:
     """The scalar c_r(E(t)) = sum_i c_i * t^(r-i).
 
     This is the H^r coefficient of the top Chern class of the twist,
-    evaluated by Horner's rule; integral Chern data gives an ``int``.
+    evaluated by Horner's rule.
     """
     acc = 0
-    for c in chern_coefficients(e):
+    for c in e.c:
         acc = acc * t + c
     return acc
 
 
-def as_chern_vector(e: Bundlish) -> ChernVector:
-    """Abstract Chern data of a bundle (degree = top Chern number)."""
-    if isinstance(e, ChernVector):
-        return e
-    if e.rank > e.ambient_dim:
+def as_chern_vector(e: ChernVector) -> ChernVector:
+    """``e`` itself, once its top class is known to survive in the ring."""
+    if not e.abstract and e.codim > e.ambient_dim:
         raise HypothesisError(
-            f"rank {e.rank} exceeds ambient dimension {e.ambient_dim}: "
+            f"rank {e.codim} exceeds ambient dimension {e.ambient_dim}: "
             "top Chern data is truncated away"
         )
-    cs = chern_coefficients(e)
-    ints = []
-    for x in cs:
-        if Fraction(x).denominator != 1:
-            raise HypothesisError("Chern coefficients are not integers")
-        ints.append(int(x))
-    return ChernVector.make(e.ambient_dim, ints)
+    return e
 
 
 # -- Segre classes --------------------------------------------------------

@@ -75,11 +75,9 @@ def compute_row(n: int, degrees: Sequence[int], j: int) -> CensusRow:
     total_degree = 1
     for d in degrees:
         total_degree *= d
-    chern = ";".join(
-        format_rational(bundle.total_chern.coeffs[i]) for i in range(min(r, n) + 1)
-    )
+    chern = ";".join(format_rational(c) for c in bundle.c[: n + 1])
     # for a split bundle the top Chern number is the product of the degrees
-    d_consistent = bundle.total_chern.coeffs[r] == total_degree if r <= n else False
+    d_consistent = bundle.c[r] == total_degree if r <= n else False
     return CensusRow(
         n=n,
         r=r,

@@ -24,8 +24,7 @@ import logging
 import os
 import sys
 
-from .bundles import BundleSpec, ChernVector, as_chern_vector, segre_coefficient
-from .classpoly import TruncatedClassPoly
+from .bundles import ChernVector, as_chern_vector, segre_coefficient
 from .census import enumerate_rows, render_csv, render_json
 from .errors import MultisecantError, ParseError
 from .exprs import elaborate, parse_bundle
@@ -68,7 +67,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _elaborated(args) -> BundleSpec | ChernVector:
+def _elaborated(args) -> ChernVector:
     return elaborate(parse_bundle(args.expr), args.n)
 
 
@@ -108,17 +107,14 @@ def verdict_to_record(verdict: Verdict) -> dict:
 
 def _cmd_chern(args, out) -> int:
     value = _elaborated(args)
-    if isinstance(value, ChernVector):
-        poly = TruncatedClassPoly.from_coeffs(value.ambient_dim, value.c)
-        out.write(f"ambient: P^{value.ambient_dim}\n")
+    out.write(f"ambient: P^{value.ambient_dim}\n")
+    if value.abstract:
         out.write(f"codim: {value.codim}\n")
         out.write(f"degree: {value.degree}\n")
         out.write(f"chern vector: {';'.join(str(c) for c in value.c)}\n")
-        out.write(f"total chern: {poly}\n")
     else:
-        out.write(f"ambient: P^{value.ambient_dim}\n")
-        out.write(f"rank: {value.rank}\n")
-        out.write(f"total chern: {value.total_chern}\n")
+        out.write(f"rank: {value.codim}\n")
+    out.write(f"total chern: {value.total_chern}\n")
     return EXIT_OK
 
 
@@ -153,7 +149,7 @@ def _cmd_trisecant(args, out) -> int:
 
 def _cmd_normality(args, out) -> int:
     value = _elaborated(args)
-    if isinstance(value, BundleSpec):
+    if not value.abstract:
         verdict = check_jnormal_bundle(value, args.j)
     elif args.j == 2:
         m = value.ambient_dim - value.codim

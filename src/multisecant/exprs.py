@@ -15,7 +15,8 @@ Sums elaborate by Whitney sum; a twist suffix applies only to a
 parenthesized expression.  ``parse_bundle(print_bundle(tree)) == tree``
 holds for every tree the printer emits (the printer parenthesizes twist
 targets and nothing else).  Abstract normal data cannot appear inside a
-sum: it elaborates to a ChernVector, not a bundle.
+sum: its ``ChernVector`` has ``abstract`` set, and only split bundles
+have a Whitney sum.
 
 An explicit ``d=`` different from the top coefficient opts into
 degree-inconsistent data, which downstream code flags; omitting it
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import Union
 
 from .bundles import (
-    BundleSpec,
     ChernVector,
     direct_sum,
     line_bundle,
@@ -201,7 +201,7 @@ def print_bundle(tree: BundleExpr) -> str:
     raise TypeError(f"not a bundle expression: {tree!r}")
 
 
-def elaborate(tree: BundleExpr, ambient_dim: int) -> BundleSpec | ChernVector:
+def elaborate(tree: BundleExpr, ambient_dim: int) -> ChernVector:
     """Evaluate an expression over P^ambient_dim."""
     if isinstance(tree, LineBundleExpr):
         return line_bundle(ambient_dim, tree.a)
@@ -211,7 +211,7 @@ def elaborate(tree: BundleExpr, ambient_dim: int) -> BundleSpec | ChernVector:
         parts = [elaborate(t, ambient_dim) for t in tree.terms]
         out = parts[0]
         for p in parts[1:]:
-            if isinstance(out, ChernVector) or isinstance(p, ChernVector):
+            if out.abstract or p.abstract:
                 raise ParseError("abstract normal data cannot be summed", 0)
             out = direct_sum(out, p)
         return out

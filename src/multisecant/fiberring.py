@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
-from .bundles import Bundlish, chern_coefficients, rank_of, top_chern_twisted
+from .bundles import ChernVector, top_chern_twisted
 from .errors import AmbientMismatchError, HypothesisError
 
 # Monomial key: (exponent of L, bitmask of D-generators present).
@@ -244,7 +244,7 @@ def integrate(x: FiberRingElement) -> Fraction:
 # -- the secant-degree computation ---------------------------------------
 
 
-def recursion_top_chern(e: Bundlish, k: int) -> FiberRingElement:
+def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     """c_((k+1)r)(E^(k+1)) by iterating the exact-sequence recursion.
 
     Stage t multiplies the accumulated class by
@@ -258,8 +258,7 @@ def recursion_top_chern(e: Bundlish, k: int) -> FiberRingElement:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = e.ambient_dim
-    r = rank_of(e)
-    cs = chern_coefficients(e)
+    r, cs = e.codim, e.c
     ring = FiberRing(n, k + 1)
 
     acc = ring.hyperplane_power(1, r).scale(cs[r])
@@ -280,12 +279,12 @@ def recursion_top_chern(e: Bundlish, k: int) -> FiberRingElement:
     return acc
 
 
-def closed_form_top_chern(e: Bundlish, k: int) -> FiberRingElement:
+def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     """prod_{i=0..k} c_r(E(-i)) times H_1^r ... H_(k+1)^r, in normal form."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = e.ambient_dim
-    r = rank_of(e)
+    r = e.codim
     ring = FiberRing(n, k + 1)
     scalar = Fraction(1)
     for i in range(k + 1):
@@ -296,7 +295,7 @@ def closed_form_top_chern(e: Bundlish, k: int) -> FiberRingElement:
     return out
 
 
-def secant_count_via_ring(e: Bundlish, k: int) -> Fraction:
+def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     """Degree of the (k+1)-secant locus computed inside the fiber ring:
 
         integrate(recursion class * L^(n+k-(k+1)r)) / (k+1)!
@@ -305,7 +304,7 @@ def secant_count_via_ring(e: Bundlish, k: int) -> Fraction:
     fit inside the ring's top degree.
     """
     n = e.ambient_dim
-    r = rank_of(e)
+    r = e.codim
     excess = n + k - (k + 1) * r
     if excess < 0:
         raise HypothesisError(

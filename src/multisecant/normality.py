@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .bundles import BundleSpec, ChernVector, top_chern_twisted
+from .bundles import ChernVector, top_chern_twisted
 from .errors import HypothesisError
 from .rationals import format_rational
 
@@ -27,8 +25,8 @@ INAPPLICABLE = "inapplicable"
 class Hypothesis:
     name: str
     condition: str
-    left: int | Fraction | bool
-    right: int | Fraction | bool
+    left: int | bool
+    right: int | bool
     satisfied: bool
 
     def render_sides(self) -> tuple[str, str]:
@@ -57,7 +55,7 @@ def _ineq(name: str, condition: str, left, right) -> Hypothesis:
 
 
 def _nonzero(name: str, condition: str, value) -> Hypothesis:
-    # rendered as |value| >= 1 is wrong for rationals; keep value vs 0
+    # the criterion is c != 0, so the value is shown against 0
     return Hypothesis(name, condition, value, 0, value != 0)
 
 
@@ -96,7 +94,7 @@ def check_jnormal_general(
     return Verdict(outcome, hyps, "jnormal-secant-criterion")
 
 
-def check_jnormal_bundle(e: BundleSpec, j: int) -> Verdict:
+def check_jnormal_bundle(e: ChernVector, j: int) -> Verdict:
     """j-normality for the zero locus of a section of a rank-r bundle.
 
     The secant hypothesis is replaced by nonvanishing of the twisted top
@@ -107,7 +105,7 @@ def check_jnormal_bundle(e: BundleSpec, j: int) -> Verdict:
     """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
-    n, r = e.ambient_dim, e.rank
+    n, r = e.ambient_dim, e.codim
     m = n - r
     if m < 1:
         raise HypothesisError(

@@ -24,12 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundles import (
-    Bundlish,
-    ChernVector,
-    _segre_unchecked,
-    top_chern_twisted,
-)
+from .bundles import ChernVector, _segre_unchecked, top_chern_twisted
 from .combinat import binomial
 
 
@@ -45,12 +40,12 @@ class SecantDegree:
     """
 
     value: Fraction
-    factors: tuple[int | Fraction, ...]
+    factors: tuple[int, ...]
     possibly_degenerate: bool
     integral: bool
 
 
-def multisecant_report(e: Bundlish, j: int) -> SecantDegree:
+def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
     """Degree of the (j+1)-secant locus through a generic external point."""
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
@@ -64,7 +59,7 @@ def multisecant_report(e: Bundlish, j: int) -> SecantDegree:
     )
 
 
-def multisecant_degree(e: Bundlish, j: int) -> Fraction:
+def multisecant_degree(e: ChernVector, j: int) -> Fraction:
     """(1/(j+1)!) * prod_{i=0..j} c_r(E(-i))."""
     return multisecant_report(e, j).value
 

@@ -14,6 +14,7 @@ from multisecant import (
     complete_intersection_bundle,
     direct_sum,
     line_bundle,
+    multisecant_report,
     segre_coefficient,
     segre_series,
     tangent_bundle,
@@ -39,7 +40,7 @@ class TestConstructors:
 
     def test_direct_sum_squares(self):
         e = direct_sum(line_bundle(4, 2), line_bundle(4, 2))
-        assert e.rank == 2
+        assert e.codim == 2
         assert e.total_chern == TruncatedClassPoly.from_coeffs(4, [1, 4, 4])
 
     def test_direct_sum_mixed(self):
@@ -49,12 +50,20 @@ class TestConstructors:
     def test_trivial_summand_keeps_chern(self):
         e = complete_intersection_bundle(5, [2, 3])
         augmented = direct_sum(e, trivial_bundle(5))
-        assert augmented.rank == e.rank + 1
+        assert augmented.codim == e.codim + 1
         assert augmented.total_chern == e.total_chern
 
     def test_dimension_mismatch(self):
         with pytest.raises(AmbientMismatchError):
             direct_sum(line_bundle(3, 1), line_bundle(4, 1))
+
+    def test_abstract_data_has_no_whitney_sum(self):
+        abstract = ChernVector.make(4, [1, 2])
+        for a, b in [(line_bundle(4, 1), abstract), (abstract, line_bundle(4, 1)), (abstract, abstract)]:
+            with pytest.raises(HypothesisError):
+                direct_sum(a, b)
+            with pytest.raises(HypothesisError):
+                a + b
 
     @pytest.mark.parametrize(
         "n, degrees",
@@ -106,6 +115,22 @@ class TestTwist:
     def test_twisted_square(self):
         e = complete_intersection_bundle(4, [2, 2])
         assert twist(e, -1).total_chern.coefficient(2) == 1
+
+    @pytest.mark.parametrize(
+        "e, c, degree, factors",
+        [
+            # abstract data keeps every class, even above degree n
+            (ChernVector.make(2, [1, 2, 3, 4]), (1, 5, 10, 10), 10, (10, 4, 2)),
+            # a split bundle stays in the ring: c_3 of the twist is truncated
+            (complete_intersection_bundle(2, [1, 1, 1]), (1, 6, 12, 0), 0, (0, -7, -8)),
+        ],
+        ids=["abstract", "split"],
+    )
+    def test_rank_above_ambient_dimension(self, e, c, degree, factors):
+        twisted = twist(e, 1)
+        assert twisted.c == c and twisted.degree == degree
+        assert twisted.abstract == e.abstract
+        assert multisecant_report(twisted, 2).factors == factors
 
     @given(
         st.integers(2, 6),

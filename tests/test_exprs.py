@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multisecant import (
-    BundleSpec,
-    ChernVector,
     ParseError,
     complete_intersection_bundle,
     elaborate,
@@ -123,7 +121,7 @@ class TestElaboration:
 
     def test_abstract_normal_defaults_degree(self):
         value = elaborate(parse_bundle("N{r=2,c=[1,4,4]}"), 8)
-        assert isinstance(value, ChernVector)
+        assert value.abstract
         assert value.degree == 4 and value.degree_consistent
 
     def test_abstract_normal_explicit_degree_is_forensic(self):
@@ -136,5 +134,5 @@ class TestElaboration:
 
     def test_mixed_sum_is_bundle(self):
         value = elaborate(parse_bundle("T+O(2)"), 3)
-        assert isinstance(value, BundleSpec)
-        assert value.rank == 4
+        assert not value.abstract
+        assert value.codim == 4
