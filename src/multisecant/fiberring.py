@@ -37,6 +37,15 @@ symbolically and compare it against the closed form
 prod_i c_r(E(-i)) * prod_i H_i^r, giving an oracle for the multisecant
 degree formula that shares no code with the scalar product route.
 
+Stage t of the recursion multiplies by sum_i c_(r-i) H_t^(r-i) N^i with
+N = -sum_(j<t) Delta_(j,t).  That sum is evaluated by Horner's rule in N,
+so the accumulated class is multiplied by N (t+1 terms) and by H_t^m
+(two terms) and never by the expanded factor or a power of N.  The
+secant count needs only the top coefficient of the class times
+L^(n+k-(k+1)r); it runs the stages on that power of L from the start,
+so the L^n = 0 truncation drops every term that can no longer reach the
+top monomial while the class is being built.
+
 Integration sends the unique top monomial L^(n-1) * D_1...D_f to 1 and
 every other monomial to 0; the normalization is pinned by the classical
 chord count of the degree-4 space curve (see the test suite).
@@ -54,6 +63,11 @@ from .errors import AmbientMismatchError, HypothesisError
 
 # Monomial key: (exponent of L, bitmask of D-generators present).
 Monomial = tuple[int, int]
+
+
+def _check_index(i: int, factors: int):
+    if not 1 <= i <= factors:
+        raise IndexError(f"factor index {i} out of range 1..{factors}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -137,6 +151,7 @@ class FiberRingElement:
         """Coefficient of L^l_exponent * prod_{i in indices} D_i."""
         mask = 0
         for i in indices:
+            _check_index(i, self.factors)
             mask |= 1 << (i - 1)
         return Fraction(self.terms.get((l_exponent, mask), 0))
 
@@ -191,31 +206,29 @@ class FiberRing:
             return self.zero()
         return self._element({(1, 0): 1})
 
-    def _check_index(self, i: int):
-        if not 1 <= i <= self.factors:
-            raise IndexError(f"factor index {i} out of range 1..{self.factors}")
-
     def exceptional(self, i: int) -> FiberRingElement:
         """D_i, the tautological class on the i-th factor."""
-        self._check_index(i)
+        _check_index(i, self.factors)
         return self._element({(0, 1 << (i - 1)): 1})
 
     def hyperplane_class(self, i: int) -> FiberRingElement:
         """H_i = D_i + L, the hyperplane of P^n through the i-th projection."""
-        self._check_index(i)
+        _check_index(i, self.factors)
         return self.exceptional(i) + self.l_class()
 
     def diagonal_class(self, i: int, j: int) -> FiberRingElement:
         """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree."""
         if i == j:
             raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
-        self._check_index(i)
-        self._check_index(j)
+        _check_index(i, self.factors)
+        _check_index(j, self.factors)
         return self.exceptional(i) + self.exceptional(j) + self.l_class()
 
     def hyperplane_power(self, i: int, exponent: int) -> FiberRingElement:
         """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1."""
-        self._check_index(i)
+        _check_index(i, self.factors)
+        if exponent < 0:
+            raise ValueError("negative powers are not defined here")
         if exponent == 0:
             return self.one()
         n = self.ambient_dim
@@ -244,39 +257,44 @@ def integrate(x: FiberRingElement) -> Fraction:
 # -- the secant-degree computation ---------------------------------------
 
 
+def _stages(e: ChernVector, k: int, start: FiberRingElement) -> FiberRingElement:
+    """start * c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``
+    run on ``start``.  Horner's rule in N: y = c_0 acc, then for
+    i = r-1 down to 0, y = y * N + c_(r-i) (acc * H_t^(r-i)).
+    """
+    r, cs = e.codim, e.c
+    ring = FiberRing(e.ambient_dim, k + 1)
+    acc = start * ring.hyperplane_power(1, r).scale(cs[r])
+    for t in range(2, k + 2):
+        neg_delta_sum = ring.zero()
+        for j in range(1, t):
+            neg_delta_sum = neg_delta_sum - ring.diagonal_class(j, t)
+        y = acc.scale(cs[0])
+        for i in range(r - 1, -1, -1):
+            y = y * neg_delta_sum
+            if cs[r - i] != 0:
+                y = y + acc * ring.hyperplane_power(t, r - i).scale(cs[r - i])
+        acc = y
+    return acc
+
+
 def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     """c_((k+1)r)(E^(k+1)) by iterating the exact-sequence recursion.
 
-    Stage t multiplies the accumulated class by
+    The base case is c_r * H_1^r.  Stage t = 2..k+1 multiplies the
+    accumulated class by
 
         c_r(q_t* E tensor O(-Delta_(1,t) - ... - Delta_(t-1,t)))
-          = sum_{i=0}^{r} c_(r-i) H_t^(r-i) (-sum_j Delta_(j,t))^i
+          = sum_{i=0}^{r} c_(r-i) H_t^(r-i) N^i,   N = -sum_(j<t) Delta_(j,t),
 
     with each c_i(E) pulled back through factor t as the scalar c_i times
-    H_t^i.  The base case is c_r * H_1^r.
+    H_t^i.  The sum is evaluated by Horner's rule in N, so each stage costs
+    r products with the (t+1)-term class N and at most r with the two-term
+    H_t^m, never a product with the expanded factor.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n = e.ambient_dim
-    r, cs = e.codim, e.c
-    ring = FiberRing(n, k + 1)
-
-    acc = ring.hyperplane_power(1, r).scale(cs[r])
-    for t in range(2, k + 2):
-        delta_sum = ring.zero()
-        for j in range(1, t):
-            delta_sum = delta_sum + ring.diagonal_class(j, t)
-        neg_delta_pow = ring.one()
-        factor = ring.zero()
-        for i in range(r + 1):
-            if cs[r - i] != 0:
-                factor = factor + ring.hyperplane_power(t, r - i).scale(
-                    cs[r - i]
-                ) * neg_delta_pow
-            if i < r:
-                neg_delta_pow = neg_delta_pow * (-delta_sum)
-        acc = acc * factor
-    return acc
+    return _stages(e, k, FiberRing(e.ambient_dim, k + 1).one())
 
 
 def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -286,7 +304,7 @@ def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     n = e.ambient_dim
     r = e.codim
     ring = FiberRing(n, k + 1)
-    scalar = Fraction(1)
+    scalar = 1
     for i in range(k + 1):
         scalar *= top_chern_twisted(e, -i)
     out = ring.scalar(scalar)
@@ -302,6 +320,13 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
 
     Requires the dimension balance n + k >= (k+1)r, i.e. the class must
     fit inside the ring's top degree.
+
+    The stages run on L^excess times the recursion's start instead of
+    multiplying by L^excess at the end.  The ring is commutative and
+    L^n = 0, so the product is the same, but every intermediate term
+    already carries L^excess and the multiply drops each term whose
+    L-exponent reaches n: those can never reach the top monomial.  The
+    late stages shrink to a few terms instead of 2^(k+1) monomials.
     """
     n = e.ambient_dim
     r = e.codim
@@ -310,9 +335,5 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
         raise HypothesisError(
             f"dimension balance violated: n+k = {n + k} < (k+1)r = {(k + 1) * r}"
         )
-    ring = FiberRing(n, k + 1)
-    l_power = ring.one()
-    for _ in range(excess):
-        l_power = l_power * ring.l_class()
-    top = recursion_top_chern(e, k) * l_power
-    return integrate(top) / factorial(k + 1)
+    l_power = FiberRing(n, k + 1).l_class() ** excess
+    return integrate(_stages(e, k, l_power)) / factorial(k + 1)

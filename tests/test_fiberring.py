@@ -1,8 +1,11 @@
 """The blow-up fiber-power ring: relations, recursion oracle, integration."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from multisecant import (
     HypothesisError,
     closed_form_top_chern,
     complete_intersection_bundle,
+    fiberring,
     integrate,
     line_bundle,
     multisecant_degree,
@@ -74,6 +78,17 @@ class TestRelations:
             ring.exceptional(3)
         with pytest.raises(IndexError):
             ring.diagonal_class(1, 1)
+
+    def test_negative_hyperplane_power_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            FiberRing(4, 2).hyperplane_power(1, -1)
+
+    @pytest.mark.parametrize("index", [0, 3, 5])
+    def test_coefficient_index_bounds(self, index):
+        x = FiberRing(4, 2).hyperplane_class(1)
+        with pytest.raises(IndexError, match=f"factor index {index} out of range 1..2"):
+            x.coefficient(0, (index,))
+        assert x.coefficient(0, (1,)) == 1
 
     def test_shape_mismatch(self):
         with pytest.raises(AmbientMismatchError):
@@ -283,3 +298,122 @@ class TestSecantCounts:
         top = closed_form_top_chern(e, 1)
         assert integrate(top) == 4
         assert Fraction(integrate(top), 2) == secant_count_via_ring(e, 1)
+
+
+class TestPrunedCount:
+    """The ring count runs the stages on L^excess from the start; it must
+    equal its printed definition, the full class times L^excess."""
+
+    @pytest.mark.parametrize(
+        "n,c,k",
+        [
+            (3, [1, 4, 4], 1),  # excess 0
+            (5, [1, 2, 3, 4], 1),  # excess 0, r = 3
+            (6, [1, 3, 5], 3),  # (k+1)r = 8 > n: L^n = 0 cuts the full class
+            (4, [1, -2, 7], 2),  # excess 0 with (k+1)r = 6 > n
+            (8, [1, 2, 3, 5], 2),  # (k+1)r = 9 > n, r = 3
+            (9, [1, 3, 5], 4),  # (k+1)r = 10 > n, excess 3
+            (8, [1, 0, 5], 3),  # interior c_1 = 0: the Horner skip runs
+            (9, [1, 2, 0, 5], 2),  # interior c_2 = 0, r = 3
+            (12, [1, 0, 0, 6], 3),  # two interior zeros
+        ],
+    )
+    def test_matches_printed_definition(self, n, c, k):
+        cv = ChernVector.make(n, c)
+        r = cv.codim
+        excess = n + k - (k + 1) * r
+        full = recursion_top_chern(cv, k)
+        l_power = FiberRing(n, k + 1).l_class() ** excess
+        expected = Fraction(integrate(full * l_power), factorial(k + 1))
+        assert secant_count_via_ring(cv, k) == expected
+        assert expected == multisecant_degree(cv, k)
+
+    @pytest.mark.parametrize(
+        "n,c,k", [(6, [1, 3, 5], 3), (8, [1, 2, 3, 5], 2), (9, [1, 3, 5], 4)]
+    )
+    def test_truncation_cases_cut_terms(self, n, c, k):
+        # in the (k+1)r > n cases above, L^excess * full really loses terms
+        cv = ChernVector.make(n, c)
+        excess = n + k - (k + 1) * cv.codim
+        full = recursion_top_chern(cv, k)
+        pruned = full * FiberRing(n, k + 1).l_class() ** excess
+        assert 0 < len(pruned.terms) < len(full.terms)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(5)
+        checked = 0
+        while checked < 60:
+            n, r, k = rng.randint(1, 9), rng.randint(1, 3), rng.randint(0, 4)
+            excess = n + k - (k + 1) * r
+            if excess < 0:
+                continue
+            cv = ChernVector.make(n, [1] + [rng.choice([0, rng.randint(-6, 6)]) for _ in range(r)])
+            l_power = FiberRing(n, k + 1).l_class() ** excess
+            full = integrate(recursion_top_chern(cv, k) * l_power)
+            assert secant_count_via_ring(cv, k) == Fraction(full, factorial(k + 1))
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "n,c,k", [(6, [1, 3, 5], 3), (8, [1, 0, 5], 2), (7, [1, 2, 3, 5], 2)]
+    )
+    def test_integer_data_gives_integer_classes(self, n, c, k):
+        # == alone accepts Fraction(3) for 3, so check the type itself
+        cv = ChernVector.make(n, c)
+        for cls in (recursion_top_chern(cv, k), closed_form_top_chern(cv, k)):
+            assert cls.terms
+            assert all(type(v) is int for v in cls.terms.values())
+
+
+class TestOracleIndependence:
+    """README: the oracle and the scalar product route share no code."""
+
+    ORACLE = ("recursion_top_chern", "secant_count_via_ring", "_stages")
+
+    @staticmethod
+    def module():
+        return ast.parse(Path(fiberring.__file__).read_text())
+
+    def test_imports_only_bundles_and_errors(self):
+        relative = {
+            node.module
+            for node in ast.walk(self.module())
+            if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert relative == {"bundles", "errors"}
+
+    def test_top_chern_twisted_only_in_closed_form(self):
+        users = [
+            node.name
+            for node in self.module().body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "top_chern_twisted"
+        ]
+        assert users and set(users) == {"closed_form_top_chern"}
+
+    def test_oracle_reaches_only_chern_vector_from_bundles(self):
+        tree = self.module()
+        from_bundles = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "bundles"
+            for alias in node.names
+        }
+        defs = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        seen, todo, reached = set(), list(self.ORACLE), set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for sub in ast.walk(defs[name]):
+                if isinstance(sub, ast.Name):
+                    reached.add(sub.id)
+                    if sub.id in defs:
+                        todo.append(sub.id)
+        assert "ChernVector" in from_bundles
+        assert reached & from_bundles == {"ChernVector"}
