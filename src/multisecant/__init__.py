@@ -16,7 +16,6 @@ from .bundles import (
     segre_series,
     tangent_bundle,
     top_chern_twisted,
-    trivial_bundle,
     twist,
 )
 from .classpoly import TruncatedClassPoly
@@ -48,22 +47,18 @@ from .normality import (
     check_jnormal_bundle,
     check_jnormal_general,
     check_linear_normality_zak,
-    gaffney_lazarsfeld_condition,
     jnormal_min_ambient_dim,
-    lines_in_hypersurface_through_point,
     ran_min_ambient_dim,
 )
 from .rationals import format_rational
 from .secants import (
     SecantDegree,
-    bisecant_degree,
     double_point_expansion,
     goettsche_a_derived,
     goettsche_b_full,
     goettsche_b_reduced,
     goettsche_c_full,
     goettsche_c_reduced,
-    multisecant_degree,
     multisecant_report,
     trisecant_closed,
     trisecant_double_sum,
@@ -86,7 +81,6 @@ __all__ = [
     "Verdict",
     "as_chern_vector",
     "binomial",
-    "bisecant_degree",
     "check_2normal",
     "check_jnormal_bundle",
     "check_jnormal_general",
@@ -97,7 +91,6 @@ __all__ = [
     "double_point_expansion",
     "elaborate",
     "format_rational",
-    "gaffney_lazarsfeld_condition",
     "goettsche_a_derived",
     "goettsche_b_full",
     "goettsche_b_reduced",
@@ -107,8 +100,6 @@ __all__ = [
     "jnormal_min_ambient_dim",
     "koszul_rank_identity",
     "line_bundle",
-    "lines_in_hypersurface_through_point",
-    "multisecant_degree",
     "multisecant_report",
     "parse_bundle",
     "print_bundle",
@@ -121,7 +112,6 @@ __all__ = [
     "top_chern_twisted",
     "trisecant_closed",
     "trisecant_double_sum",
-    "trivial_bundle",
     "twist",
     "wedge_resolution_sum_shifted",
     "wedge_resolution_sum_unit",

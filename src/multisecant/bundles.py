@@ -22,10 +22,11 @@ Values are immutable; all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classpoly import TruncatedClassPoly, binomial_power
+from .classpoly import TruncatedClassPoly
 from .combinat import binomial
 from .errors import AmbientMismatchError, HypothesisError
 
@@ -89,9 +90,6 @@ class ChernVector:
         """c_0 + c_1 H + ... + c_r H^r in the ring of P^n."""
         return TruncatedClassPoly.from_coeffs(self.ambient_dim, self.c)
 
-    def __add__(self, other: "ChernVector") -> "ChernVector":
-        return direct_sum(self, other)
-
 
 def _chern_data(
     ambient_dim: int, c: Sequence[int], abstract: bool, degree: int | None = None
@@ -116,10 +114,6 @@ def _chern_data(
 def line_bundle(ambient_dim: int, a: int) -> ChernVector:
     """O(a) on P^n, total Chern class 1 + a*H."""
     return _chern_data(ambient_dim, (1, a), False)
-
-
-def trivial_bundle(ambient_dim: int) -> ChernVector:
-    return line_bundle(ambient_dim, 0)
 
 
 def tangent_bundle(ambient_dim: int) -> ChernVector:
@@ -229,7 +223,14 @@ def segre_coefficient(cv: ChernVector, k: int) -> int:
 
 
 def segre_series(cv: ChernVector) -> TruncatedClassPoly:
-    """sum_k sigma_k H^k as a truncated polynomial (the full Segre series)."""
+    """sum_k sigma_k H^k as a truncated polynomial (the full Segre series).
+
+    This is the inverse-series route, (1+H)^(-(n+1)) * c(N), with the
+    binomials of (1+H)^(n+1) taken from ``math.comb`` so that it shares
+    nothing with ``segre_coefficient``;
+    tests/test_bundles.py::TestSegre::test_duality_with_polynomial_route
+    compares the two.
+    """
     n = cv.ambient_dim
-    chern_poly = TruncatedClassPoly.from_coeffs(n, cv.c)
-    return binomial_power(n, 1, n + 1).inverse() * chern_poly
+    euler = TruncatedClassPoly.from_coeffs(n, [math.comb(n + 1, k) for k in range(n + 1)])
+    return euler.inverse() * TruncatedClassPoly.from_coeffs(n, cv.c)

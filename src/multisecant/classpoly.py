@@ -8,6 +8,13 @@ degree n.  The representation is a dense tuple of n+1 coefficients
 
     1 + 4H + 4H^2 on P^4  ->  (1, 4, 4, 0, 0)
 
+The package needs this ring for two things only: ``chern`` prints a
+bundle's total Chern class as one of these polynomials, and
+``segre_series`` inverts (1+H)^(n+1) in it, an inverse-series route to
+the Segre classes that cross-checks the sign convention of
+``segre_coefficient``.  So the class offers construction, the truncated
+product, the inverse, coefficient access and printing, and nothing else.
+
 Coefficients are exact ``int``s, or ``Fraction``s only where a division
 forces them (a ``Fraction`` input, or inverting a unit whose constant
 term is not +-1); the two mix exactly, so integral Chern data stays
@@ -57,52 +64,13 @@ class TruncatedClassPoly:
         cs += [0] * (ambient_dim + 1 - len(cs))
         return cls(ambient_dim, tuple(cs))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "TruncatedClassPoly":
-        return cls.from_coeffs(ambient_dim, [])
-
-    @classmethod
-    def one(cls, ambient_dim: int) -> "TruncatedClassPoly":
-        return cls.from_coeffs(ambient_dim, [1])
-
-    @classmethod
-    def hyperplane(cls, ambient_dim: int) -> "TruncatedClassPoly":
-        """The class H itself (zero on P^0)."""
-        return cls.monomial(ambient_dim, 1, 1) if ambient_dim >= 1 else cls.zero(0)
-
-    @classmethod
-    def monomial(cls, ambient_dim: int, degree: int, coeff: int | Fraction) -> "TruncatedClassPoly":
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        if degree > ambient_dim:
-            return cls.zero(ambient_dim)
-        cs = [0] * (ambient_dim + 1)
-        cs[degree] = coeff
-        return cls(ambient_dim, tuple(cs))
-
     # -- ring operations ----------------------------------------------
 
-    def _check_ambient(self, other: "TruncatedClassPoly"):
+    def __mul__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatchError(
                 f"ambient dimensions differ: P^{self.ambient_dim} vs P^{other.ambient_dim}"
             )
-
-    def __add__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
-        self._check_ambient(other)
-        return TruncatedClassPoly(
-            self.ambient_dim,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self) -> "TruncatedClassPoly":
-        return TruncatedClassPoly(self.ambient_dim, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
-        self._check_ambient(other)
         n = self.ambient_dim
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
@@ -114,22 +82,6 @@ class TruncatedClassPoly:
                 if b != 0:
                     out[i + j] += a * b
         return TruncatedClassPoly(n, tuple(out))
-
-    def __pow__(self, exponent: int) -> "TruncatedClassPoly":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = TruncatedClassPoly.one(self.ambient_dim)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def scale(self, factor: int | Fraction) -> "TruncatedClassPoly":
-        return TruncatedClassPoly(self.ambient_dim, tuple(a * factor for a in self.coeffs))
 
     def inverse(self) -> "TruncatedClassPoly":
         """Multiplicative inverse in the truncated ring.
@@ -156,20 +108,17 @@ class TruncatedClassPoly:
     # -- queries --------------------------------------------------------
 
     def coefficient(self, k: int) -> int | Fraction:
+        """The coefficient of H^k.
+
+        The tests read classes through it: tests/test_bundles.py
+        (``test_tangent_top_coefficient``,
+        ``test_duality_with_polynomial_route``) and tests/test_classpoly.py.
+        """
         if not 0 <= k <= self.ambient_dim:
             raise IndexError(
                 f"degree {k} out of range for P^{self.ambient_dim}"
             )
         return self.coeffs[k]
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-    def restrict(self, ambient_dim: int) -> "TruncatedClassPoly":
-        """Truncate to a smaller ambient dimension (drop top coefficients)."""
-        if ambient_dim > self.ambient_dim:
-            raise ValueError("can only restrict to a smaller ambient dimension")
-        return TruncatedClassPoly(ambient_dim, self.coeffs[: ambient_dim + 1])
 
     def __str__(self) -> str:
         terms = []
@@ -190,9 +139,4 @@ class TruncatedClassPoly:
         for body, neg in terms[1:]:
             out += (" - " if neg else " + ") + body
         return out
-
-
-def binomial_power(ambient_dim: int, base_coeff: int, exponent: int) -> TruncatedClassPoly:
-    """(1 + base_coeff*H)^exponent on P^ambient_dim, truncated."""
-    return TruncatedClassPoly.from_coeffs(ambient_dim, [1, base_coeff]) ** exponent
 

@@ -181,6 +181,11 @@ def _parse_abstract_normal(s: _Scanner) -> AbstractNormalExpr:
 
 
 def print_bundle(tree: BundleExpr) -> str:
+    """The canonical text of ``tree``.
+
+    Nothing in the package calls it; it is the oracle of the parser round
+    trip in tests/test_exprs.py::TestRoundTrip.
+    """
     if isinstance(tree, LineBundleExpr):
         return f"O({tree.a})"
     if isinstance(tree, TangentExpr):

@@ -145,36 +145,28 @@ class FiberRingElement:
         return result
 
     def is_zero(self) -> bool:
+        """Whether every coefficient vanishes.  Used by the ring-relation
+        and recursion tests in tests/test_fiberring.py (``TestRelations``,
+        ``TestRecursion::test_trivial_bundle_dies``)."""
         return not self.terms
 
     def coefficient(self, l_exponent: int, indices: tuple[int, ...]) -> Fraction:
-        """Coefficient of L^l_exponent * prod_{i in indices} D_i."""
+        """Coefficient of the normal-form monomial L^l_exponent * prod_{i in indices} D_i.
+
+        A repeated index or an L-exponent outside 0..n-1 names no
+        normal-form monomial and raises ``IndexError``.
+        """
+        if not 0 <= l_exponent < self.ambient_dim:
+            raise IndexError(
+                f"L-exponent {l_exponent} out of range 0..{self.ambient_dim - 1}"
+            )
         mask = 0
         for i in indices:
             _check_index(i, self.factors)
+            if mask >> (i - 1) & 1:
+                raise IndexError(f"factor index {i} repeated: D_{i}^2 is not in normal form")
             mask |= 1 << (i - 1)
         return Fraction(self.terms.get((l_exponent, mask), 0))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (e, mask) in sorted(self.terms):
-            c = self.terms[(e, mask)]
-            names = []
-            if e:
-                names.append("L" if e == 1 else f"L^{e}")
-            for i in range(self.factors):
-                if mask >> i & 1:
-                    names.append(f"D{i + 1}")
-            body = "*".join(names) if names else "1"
-            if c == 1 and names:
-                parts.append(body)
-            elif c == -1 and names:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}" if names else str(c))
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 class FiberRing:
@@ -212,7 +204,12 @@ class FiberRing:
         return self._element({(0, 1 << (i - 1)): 1})
 
     def hyperplane_class(self, i: int) -> FiberRingElement:
-        """H_i = D_i + L, the hyperplane of P^n through the i-th projection."""
+        """H_i = D_i + L, the hyperplane of P^n through the i-th projection.
+
+        The recursion uses ``hyperplane_power``; this sum of generators is
+        the independent oracle ``TestRelations::test_hyperplane_power_collapse``
+        in tests/test_fiberring.py compares it with.
+        """
         _check_index(i, self.factors)
         return self.exceptional(i) + self.l_class()
 
@@ -240,7 +237,12 @@ class FiberRing:
         return self._element(terms)
 
     def top_monomial(self) -> FiberRingElement:
-        """L^(n-1) * D_1 ... D_f, the fundamental-class monomial."""
+        """L^(n-1) * D_1 ... D_f, the fundamental-class monomial.
+
+        ``integrate`` reads this monomial's coefficient directly; the
+        normalization test ``TestRingAxioms::test_integrate_normalization``
+        in tests/test_fiberring.py builds it here to check that reading.
+        """
         return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
 
 

@@ -10,7 +10,6 @@ secant locus) is not established and the criterion is silent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from .bundles import ChernVector, top_chern_twisted
 from .errors import HypothesisError
@@ -172,7 +171,12 @@ def check_linear_normality_zak(n: int, r: int) -> Verdict:
 
 def ran_min_ambient_dim(j: int) -> int:
     """Smallest n for which the codimension-2 j-normality bound holds:
-    n = 3j^2 + 2j + 2."""
+    n = 3j^2 + 2j + 2.
+
+    Only tests/test_normality.py::TestNumerology and acceptance criterion
+    07 call it for now; ROADMAP item 3 gives it a caller in the identity
+    registry.
+    """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
     return 3 * j * j + 2 * j + 2
@@ -180,24 +184,11 @@ def ran_min_ambient_dim(j: int) -> int:
 
 def jnormal_min_ambient_dim(r: int, j: int) -> int:
     """Smallest n = m + r satisfying both j-normality bounds:
-    n = r + max(2(r+1)j + r, (j+1)((r+1)j-1) + 1)."""
+    n = r + max(2(r+1)j + r, (j+1)((r+1)j-1) + 1).
+
+    Only tests/test_normality.py and acceptance criterion 07 call it for
+    now; ROADMAP item 3 gives it a caller in the identity registry.
+    """
     if r < 1 or j < 1:
         raise HypothesisError(f"parameters must be positive: r={r}, j={j}")
     return r + max(2 * (r + 1) * j + r, (j + 1) * ((r + 1) * j - 1) + 1)
-
-
-def lines_in_hypersurface_through_point(n: int, j: int) -> tuple[int, int]:
-    """(dimension, degree) of the family of lines through a fixed point of
-    a generic degree-j hypersurface in P^n: a complete intersection of
-    dimension n-1-j and degree j!."""
-    if not 1 <= j <= n - 1:
-        raise IndexError(f"need 1 <= j <= n-1, got j={j}, n={n}")
-    return n - 1 - j, math.factorial(j)
-
-
-def gaffney_lazarsfeld_condition(n: int, r: int, k: int) -> bool:
-    """Whether r*k >= n, the branched-covering condition forcing a
-    k-secant on which all k points come together."""
-    if n < 1 or r < 1 or k < 1:
-        raise HypothesisError(f"parameters must be positive: n={n}, r={r}, k={k}")
-    return r * k >= n

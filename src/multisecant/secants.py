@@ -5,8 +5,8 @@ through a generic external point, computed as the product
 
     deg Sigma_(j+1) = (1 / (j+1)!) * prod_{i=0..j} c_r(E(-i)),
 
-together with the classical bisecant (double-point) and trisecant
-specializations and the expansion bookkeeping around them.  Degrees are
+together with the trisecant specialization, the double-point expansion
+and the expansion bookkeeping around them.  Degrees are
 returned as exact rationals: the product formula computes a virtual
 class, and a non-integral or zero value is meaningful (improper dimension)
 rather than an error, so callers get flags instead of exceptions.
@@ -59,26 +59,15 @@ def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
     )
 
 
-def multisecant_degree(e: ChernVector, j: int) -> Fraction:
-    """(1/(j+1)!) * prod_{i=0..j} c_r(E(-i))."""
-    return multisecant_report(e, j).value
-
-
-def bisecant_degree(cv: ChernVector) -> Fraction:
-    """(1/2) * c_r(N) * c_r(N(-1)): bisecants through an external point.
-
-    The halving matches the 2-secant case of the product formula (the
-    double-point computation counts ordered point pairs).
-    """
-    return Fraction(1, 2) * top_chern_twisted(cv, 0) * top_chern_twisted(cv, -1)
-
-
 def double_point_expansion(cv: ChernVector) -> int:
     """The alternating sum d - c_(r-1) + c_(r-2) - ... from the
     double-point formula for a generic projection.
 
     Equals c_r(N(-1)) whenever the degree is self-consistent; this is the
-    independent route to the twisted top Chern class.
+    independent route to the twisted top Chern class, and nothing in the
+    package calls it: it is the oracle of
+    tests/test_acceptance.py::test_criterion_06_bisecant and of
+    tests/test_secants.py::TestDoublePointExpansion.
     """
     r = cv.codim
     total = cv.degree  # i = r term, with c_r read as d

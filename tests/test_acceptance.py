@@ -4,6 +4,9 @@ Run as
     pytest tests/test_acceptance.py -v -s
 to see the PASS/FAIL line per criterion.  All checks are exact (integer
 or Fraction equality); tolerances appear only as runtime ceilings.
+Criteria 01, 03, 04 and 05 run the ``verify`` suites through
+``run_suite``, so the CLI and these criteria check the same loops;
+tests/test_verify.py pins what those suites print when an identity breaks.
 
 Criterion 10 is a printed-vs-corrected check, like criterion 05: the
 printed residual identity between the trisecant double sum and the
@@ -23,31 +26,20 @@ from fractions import Fraction
 
 from multisecant import (
     ChernVector,
-    bisecant_degree,
-    closed_form_top_chern,
     complete_intersection_bundle,
     double_point_expansion,
     goettsche_b_reduced,
-    goettsche_c_full,
-    goettsche_c_reduced,
-    koszul_rank_identity,
     line_bundle,
-    multisecant_degree,
+    multisecant_report,
     ran_min_ambient_dim,
-    recursion_top_chern,
     secant_count_via_ring,
     jnormal_min_ambient_dim,
     top_chern_twisted,
     trisecant_closed,
     trisecant_double_sum,
     wedge_resolution_sum_shifted,
-    wedge_resolution_sum_unit,
 )
-from multisecant.verify import (
-    oracle_grid,
-    run_bterm_experiment,
-    run_lemma51,
-)
+from multisecant.verify import oracle_grid, run_bterm_experiment, run_suite
 
 SEED = 20240801
 
@@ -68,19 +60,24 @@ def oracle_stream(per_cell=200, bound=5):
             yield n, k, random_vector(rng, n, r, bound)
 
 
-def test_criterion_01_recursion_oracle():
+def run_timed(suite, trials):
     started = time.monotonic()
-    checked = mismatches = 0
-    for n, k, cv in oracle_stream():
-        checked += 1
-        if recursion_top_chern(cv, k) != closed_form_top_chern(cv, k):
-            mismatches += 1
-    elapsed = time.monotonic() - started
-    ok = mismatches == 0 and elapsed < 60.0
+    result = run_suite(suite, trials, SEED)
+    return result, time.monotonic() - started
+
+
+def test_criterion_01_recursion_oracle():
+    trials = 200 * len(oracle_grid())  # the suite cycles the grid: 200 per cell
+    suite, elapsed = run_timed("recursion-oracle", trials)
+    ok = (
+        suite.passed
+        and f"exact matches: {trials}/{trials}" in suite.lines
+        and elapsed < 60.0
+    )
     assert report(
         1,
         ok,
-        f"recursion == closed form on {checked} cases "
+        f"recursion == closed form on {trials} cases "
         f"(200 per grid cell, {elapsed:.1f}s)",
     )
 
@@ -91,7 +88,7 @@ def test_criterion_02_secant_count_consistency():
         if n + k < (k + 1) * cv.codim:
             continue
         checked += 1
-        if secant_count_via_ring(cv, k) != multisecant_degree(cv, k):
+        if secant_count_via_ring(cv, k) != multisecant_report(cv, k).value:
             mismatches += 1
     chords = secant_count_via_ring(complete_intersection_bundle(3, [2, 2]), 1)
     pairs = secant_count_via_ring(line_bundle(1, 3), 1)
@@ -105,69 +102,40 @@ def test_criterion_02_secant_count_consistency():
 
 
 def test_criterion_03_trisecant_identity():
-    rng = random.Random(SEED)
-    started = time.monotonic()
-    mismatches = 0
-    for _ in range(1000):
-        r = rng.randint(1, 6)
-        cv = random_vector(rng, max(2 * r - 2, 1), r, 9)
-        if trisecant_double_sum(cv) != trisecant_closed(cv):
-            mismatches += 1
-    elapsed = time.monotonic() - started
-    ok = mismatches == 0 and elapsed < 5.0
+    suite, elapsed = run_timed("trisecant-identity", 1000)
+    ok = suite.passed and "exact matches: 1000/1000" in suite.lines and elapsed < 5.0
     assert report(
         3, ok, f"double sum == closed form on 1000 random vectors ({elapsed:.2f}s)"
     )
 
 
 def test_criterion_04_c_term():
-    rng = random.Random(SEED)
-    mismatches = 0
-    for _ in range(200):
-        r = rng.randint(1, 6)
-        n = rng.randint(max(1, 2 * r - 2), 30)
-        cv = random_vector(rng, n, r, 9)
-        if goettsche_c_full(cv) != goettsche_c_reduced(cv):
-            mismatches += 1
-    worked = ChernVector.make(4, [1, 4, 4])
-    pair = (goettsche_c_full(worked), goettsche_c_reduced(worked))
-    ok = mismatches == 0 and pair == (32, 32)
+    suite, _ = run_timed("cterm", 200)
+    ok = (
+        suite.passed
+        and "exact matches: 200/200" in suite.lines
+        and "worked instance n=4 r=2 c=(1,4,4): both routes give 32" in suite.lines
+    )
     assert report(
         4,
         ok,
-        f"(c) raw sum == closed form on 200 random vectors; worked instance both {pair[0]}",
+        "(c) raw sum == closed form on 200 random vectors; worked instance both 32",
     )
 
 
 def test_criterion_05_binomial_identities():
-    bad_first = sum(
-        1
-        for m in range(41)
-        for l in range(m + 1)
-        for t in range(41)
-        if koszul_rank_identity(l, m - l, t)[0] != koszul_rank_identity(l, m - l, t)[1]
-    )
-    bad_unit = sum(
-        1
-        for n in range(31)
-        for t in range(31)
-        if wedge_resolution_sum_unit(n, t) != (-1) ** t
-    )
-    bad_shifted = sum(
-        1
-        for n in range(31)
-        for t in range(31)
-        if wedge_resolution_sum_shifted(n, t) != (-1) ** t * (t + 1)
-    )
+    # the suite's grids are exhaustive: l+p <= 40 and t <= 40 for the rank
+    # identity, n, t <= 30 for the two alternating sums
+    rank_cases = sum(m + 1 for m in range(41)) * 41
+    suite, _ = run_timed("lemma51", 0)
     witness = wedge_resolution_sum_shifted(2, 1)
-    suite = run_lemma51()
     witness_reported = any("(n=2, t=1)" in line and "-2" in line for line in suite.lines)
     ok = (
-        bad_first == 0
-        and bad_unit == 0
-        and bad_shifted == 0
+        suite.passed
+        and f"rank identity: {rank_cases}/{rank_cases} exact" in suite.lines
+        and "unit alternating sum == (-1)^t: 961/961" in suite.lines
+        and "shifted alternating sum == (-1)^t*(t+1): 961/961" in suite.lines
         and witness == -2
-        and suite.passed
         and witness_reported
     )
     assert report(
@@ -180,7 +148,7 @@ def test_criterion_05_binomial_identities():
 
 def test_criterion_06_bisecant():
     rng = random.Random(SEED)
-    quartic = bisecant_degree(ChernVector.make(4, [1, 4, 4]))
+    quartic = multisecant_report(ChernVector.make(4, [1, 4, 4]), 1).value
     mismatches = 0
     for _ in range(500):
         r = rng.randint(1, 6)
@@ -215,7 +183,7 @@ def test_criterion_08_three_points_per_line():
     for _ in range(500):
         r = rng.randint(1, 6)
         cv = random_vector(rng, rng.randint(max(1, r), 20), r, 9)
-        if trisecant_closed(cv) * cv.degree != 3 * multisecant_degree(cv, 2):
+        if trisecant_closed(cv) * cv.degree != 3 * multisecant_report(cv, 2).value:
             mismatches += 1
     ok = mismatches == 0
     assert report(

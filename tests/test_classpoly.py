@@ -1,4 +1,4 @@
-"""Truncated H-polynomial ring: examples, ring axioms, truncation."""
+"""Truncated H-polynomials: product, inverse, truncation, printing."""
 
 import math
 from fractions import Fraction
@@ -19,6 +19,11 @@ def poly(n, *coeffs):
     return TruncatedClassPoly.from_coeffs(n, coeffs)
 
 
+def plus(a, b):
+    # coefficientwise sum, to state the product's bilinearity
+    return poly(a.ambient_dim, *(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
 def naive_truncated_product(a, b, n):
     # independent convolution oracle on raw coefficient lists
     out = [Fraction(0)] * (n + 1)
@@ -30,55 +35,44 @@ def naive_truncated_product(a, b, n):
 
 
 class TestExamples:
-    def test_add_cancellation(self):
-        assert poly(2, 1, 1) + poly(2, 1, -1) == poly(2, 2)
-
-    def test_add_identity(self):
-        p = poly(2, 1, 3, 3)
-        assert p + TruncatedClassPoly.zero(2) == p
-
-    def test_add_monomials(self):
-        h2 = TruncatedClassPoly.monomial(2, 2, 1)
-        assert h2 + h2 == TruncatedClassPoly.monomial(2, 2, 2)
-
     def test_mul_truncates_on_p1(self):
         assert poly(1, 1, 1) * poly(1, 1, 1) == poly(1, 1, 2)
 
     def test_mul_binomial_coefficient(self):
-        p = poly(4, 1, 1) ** 5
+        p = poly(4, 1, 1)
+        for _ in range(4):
+            p = p * poly(4, 1, 1)
         assert p.coefficient(4) == math.comb(5, 4)
         assert p.coefficient(3) == math.comb(5, 3)
 
     def test_mul_identity(self):
         p = poly(2, 1, 4, 4)
-        assert p * TruncatedClassPoly.one(2) == p
+        assert p * poly(2, 1) == p
 
     def test_invert_geometric_series(self):
         assert poly(3, 1, 1).inverse() == poly(3, 1, -1, 1, -1)
 
     def test_invert_one(self):
-        one = TruncatedClassPoly.one(5)
+        one = poly(5, 1)
         assert one.inverse() == one
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_invert_euler_power(self, n):
         # (1+H)^-(n+1) has H^m coefficient (-1)^m * binom(n+m, m)
-        inv = (poly(n, 1, 1) ** (n + 1)).inverse()
+        inv = poly(n, *(math.comb(n + 1, k) for k in range(n + 2))).inverse()
         for m in range(n + 1):
             assert inv.coefficient(m) == (-1) ** m * math.comb(n + m, m)
 
     def test_coefficient_access(self):
         p = poly(2, 1, 3, 3)
         assert p.coefficient(2) == 3
-        assert TruncatedClassPoly.one(4).coefficient(0) == 1
+        assert poly(4, 1).coefficient(0) == 1
         with pytest.raises(IndexError):
             p.coefficient(3)
         with pytest.raises(IndexError):
             p.coefficient(-1)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(AmbientMismatchError):
-            poly(2, 1) + poly(3, 1)
         with pytest.raises(AmbientMismatchError):
             poly(2, 1) * poly(3, 1)
 
@@ -96,9 +90,9 @@ class TestExamples:
 
     def test_invert_non_unit(self):
         with pytest.raises(NonUnitError):
-            TruncatedClassPoly.zero(2).inverse()
+            poly(2).inverse()
         with pytest.raises(NonUnitError):
-            TruncatedClassPoly.hyperplane(3).inverse()
+            poly(3, 0, 1).inverse()
 
 
 rationals = st.fractions(
@@ -125,12 +119,11 @@ class TestRingAxioms:
     def test_mul_associative_distributive(self, triple):
         a, b, c = triple
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert a * plus(b, c) == plus(a * b, a * c)
 
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(polys_of_dim(n), polys_of_dim(n))))
     def test_commutative(self, pair):
         a, b = pair
-        assert a + b == b + a
         assert a * b == b * a
 
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(polys_of_dim(n), polys_of_dim(n))))
@@ -145,18 +138,20 @@ class TestRingAxioms:
             with pytest.raises(NonUnitError):
                 a.inverse()
         else:
-            assert (a * a.inverse()).is_one()
+            assert a * a.inverse() == poly(a.ambient_dim, 1)
 
     @given(st.integers(0, 5).flatmap(lambda n: polys_of_dim(n + 1).map(lambda p: (n, p))))
     def test_truncation_consistency(self, pair):
         # computing in P^(n+1) and dropping the top equals computing in P^n
         n, p = pair
-        q = p * p
-        assert q.restrict(n) == p.restrict(n) * p.restrict(n)
+        def restrict(x):
+            return poly(n, *x.coeffs)
+
+        assert restrict(p * p) == restrict(p) * restrict(p)
 
 
 def test_str_rendering():
     assert str(poly(3, 1, -1, 1, -1)) == "1 - H + H^2 - H^3"
-    assert str(TruncatedClassPoly.zero(2)) == "0"
+    assert str(poly(2)) == "0"
     assert str(poly(2, 0, Fraction(1, 2))) == "1/2*H"
     assert str(poly(2, -2, 0, 3)) == "-2 + 3*H^2"

@@ -20,7 +20,7 @@ from multisecant import (
     fiberring,
     integrate,
     line_bundle,
-    multisecant_degree,
+    multisecant_report,
     recursion_top_chern,
     secant_count_via_ring,
 )
@@ -89,6 +89,24 @@ class TestRelations:
         with pytest.raises(IndexError, match=f"factor index {index} out of range 1..2"):
             x.coefficient(0, (index,))
         assert x.coefficient(0, (1,)) == 1
+
+    @pytest.mark.parametrize(
+        "l_exponent, indices, message",
+        [
+            (0, (1, 1), "factor index 1 repeated"),
+            (-3, (1,), "L-exponent -3 out of range 0..3"),
+            (9, (), "L-exponent 9 out of range 0..3"),
+        ],
+        ids=["repeated-index", "negative-l-exponent", "l-exponent-above-n-1"],
+    )
+    def test_coefficient_rejects_non_normal_monomials(self, l_exponent, indices, message):
+        # D_1 * D_1 = -L * D_1 is not a normal-form monomial, and L^e
+        # exists only for 0 <= e <= n-1
+        d1 = FiberRing(4, 2).exceptional(1)
+        with pytest.raises(IndexError, match=message):
+            d1.coefficient(l_exponent, indices)
+        assert d1.coefficient(0, (1,)) == 1
+        assert d1.coefficient(3, ()) == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(AmbientMismatchError):
@@ -290,7 +308,7 @@ class TestSecantCounts:
     def test_cross_module_agreement(self, n, r, k, tail):
         cv = ChernVector.make(n, [1] + tail[:r])
         if n + k >= (k + 1) * r:
-            assert secant_count_via_ring(cv, k) == multisecant_degree(cv, k)
+            assert secant_count_via_ring(cv, k) == multisecant_report(cv, k).value
 
     def test_integration_example_by_hand(self):
         # 4 * H_1^2 H_2^2 on n=3 reduces to 4 * L^2 D_1 D_2
@@ -326,7 +344,7 @@ class TestPrunedCount:
         l_power = FiberRing(n, k + 1).l_class() ** excess
         expected = Fraction(integrate(full * l_power), factorial(k + 1))
         assert secant_count_via_ring(cv, k) == expected
-        assert expected == multisecant_degree(cv, k)
+        assert expected == multisecant_report(cv, k).value
 
     @pytest.mark.parametrize(
         "n,c,k", [(6, [1, 3, 5], 3), (8, [1, 2, 3, 5], 2), (9, [1, 3, 5], 4)]

@@ -11,9 +11,7 @@ from multisecant import (
     check_jnormal_general,
     check_linear_normality_zak,
     complete_intersection_bundle,
-    gaffney_lazarsfeld_condition,
     jnormal_min_ambient_dim,
-    lines_in_hypersurface_through_point,
     ran_min_ambient_dim,
 )
 
@@ -134,24 +132,3 @@ class TestNumerology:
         assert check_jnormal_general(n - r, r, j, True).outcome == "holds"
         assert check_jnormal_general(n - 1 - r, r, j, True).outcome == "fails"
 
-
-class TestLinesInHypersurface:
-    def test_hyperplane_case(self):
-        assert lines_in_hypersurface_through_point(9, 1) == (7, 1)
-
-    def test_quadric_surface_ruling(self):
-        assert lines_in_hypersurface_through_point(3, 2) == (0, 2)
-
-    def test_sextic_count(self):
-        assert lines_in_hypersurface_through_point(4, 3) == (0, 6)
-
-    def test_range(self):
-        with pytest.raises(IndexError):
-            lines_in_hypersurface_through_point(4, 4)
-
-
-class TestGaffneyLazarsfeld:
-    def test_threshold(self):
-        assert gaffney_lazarsfeld_condition(10, 2, 5)
-        assert not gaffney_lazarsfeld_condition(10, 2, 4)
-        assert gaffney_lazarsfeld_condition(9, 3, 3)
