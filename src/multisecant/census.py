@@ -6,9 +6,17 @@ the (j+1)-secant degree and the normality verdicts.  Every computed field
 is reproducible from the input fields alone, which is what
 ``verify_rows`` checks when a written file is read back.
 
+Cost: for n > r nothing in the Chern data of E = O(d_1) + ... + O(d_r) is
+truncated, so c_r(E(-i)) = prod_k (d_k - i) and every value column
+depends only on the degree tuple and j.  A row depends on n only through
+its two verdicts, which depend only on (n, r, j) and on which factors
+c_r(E(-i)), i = 1..j, vanish.  A sweep computes each of the two parts
+once and builds its rows from them.
+
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
-never as floats.
+never as floats.  The JSON writer fills a fixed template and emits
+exactly the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ import csv
 import io
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .bundles import complete_intersection_bundle
@@ -40,8 +50,6 @@ CSV_HEADER = (
     "integrality_warning",
     "d_consistent",
 )
-
-ROW_CITATIONS = ("secant-product-formula", "jnormal-bundle-criterion", "zak-linear-normality")
 
 
 @dataclass(frozen=True)
@@ -67,31 +75,63 @@ class CensusRow:
     d_consistent: str
 
 
+class _Sweep:
+    """Rows built from two caches that live as long as one sweep.
+
+    ``values`` maps (degrees, j) to the value columns, the two flags, the
+    factors c_r(E(-i)) for i = 0..j and the indices i >= 1 at which they
+    vanish; ``verdicts`` maps (n, r, j, vanishing indices) to the jnormal
+    and zak outcomes.  The value part is exact only for n > r, so both
+    parts are stored only after the verdicts are made: a row with n <= r
+    or j < 1 raises there, as ``compute_row`` always has, and stores
+    nothing.
+    """
+
+    def __init__(self):
+        self.values = {}
+        self.verdicts = {}
+
+    def row(self, n: int, degrees: Sequence[int], j: int) -> CensusRow:
+        degrees = tuple(degrees)
+        r = len(degrees)
+        values = self.values.get((degrees, j))
+        bundle = None
+        if values is None:
+            bundle = complete_intersection_bundle(n, degrees)
+            report = multisecant_report(bundle, j)
+            total_degree = math.prod(degrees)
+            # for a split bundle the top Chern number is the product of the degrees
+            d_consistent = bundle.c[r] == total_degree
+            values = (
+                str(total_degree),
+                ";".join(format_rational(c) for c in bundle.c[: n + 1]),
+                ";".join(format_rational(f) for f in report.factors),
+                format_rational(report.value),
+                "false" if report.integral else "true",
+                "true" if d_consistent else "false",
+                report.factors,
+                tuple(i for i in range(1, j + 1) if report.factors[i] == 0),
+            )
+        degree, chern, twisted, secant, warning, consistent, factors, zeros = values
+        verdicts = self.verdicts.get((n, r, j, zeros))
+        if verdicts is None:
+            if bundle is None:
+                bundle = complete_intersection_bundle(n, degrees)
+            verdicts = (
+                check_jnormal_bundle(bundle, j, factors).outcome,
+                check_linear_normality_zak(n, r).outcome,
+            )
+            self.verdicts[n, r, j, zeros] = verdicts
+        self.values[degrees, j] = values
+        jnormal, zak = verdicts
+        return CensusRow(
+            n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent
+        )
+
+
 def compute_row(n: int, degrees: Sequence[int], j: int) -> CensusRow:
-    degrees = tuple(degrees)
-    r = len(degrees)
-    bundle = complete_intersection_bundle(n, degrees)
-    report = multisecant_report(bundle, j)
-    total_degree = 1
-    for d in degrees:
-        total_degree *= d
-    chern = ";".join(format_rational(c) for c in bundle.c[: n + 1])
-    # for a split bundle the top Chern number is the product of the degrees
-    d_consistent = bundle.c[r] == total_degree if r <= n else False
-    return CensusRow(
-        n=n,
-        r=r,
-        degrees=degrees,
-        j=j,
-        degree=str(total_degree),
-        chern=chern,
-        twisted_top_cherns=";".join(format_rational(f) for f in report.factors),
-        secant_degree=format_rational(report.value),
-        jnormal=check_jnormal_bundle(bundle, j).outcome,
-        zak=check_linear_normality_zak(n, r).outcome,
-        integrality_warning="false" if report.integral else "true",
-        d_consistent="true" if d_consistent else "false",
-    )
+    """One census row, computed with a fresh sweep cache."""
+    return _Sweep().row(n, degrees, j)
 
 
 def enumerate_rows(
@@ -112,36 +152,9 @@ def enumerate_rows(
         raise HypothesisError(
             f"ambient range must start above the codimension, got n={lo_n} <= r={r}"
         )
-    rows = []
-    for n in range(lo_n, hi_n + 1):
-        for degrees in itertools.combinations_with_replacement(
-            range(lo_d, hi_d + 1), r
-        ):
-            rows.append(compute_row(n, degrees, j))
-    return rows
-
-
-def _row_record(row: CensusRow) -> dict:
-    return {
-        "inputs": {
-            "n": row.n,
-            "r": row.r,
-            "degrees": list(row.degrees),
-            "j": row.j,
-        },
-        "values": {
-            "degree": row.degree,
-            "chern": row.chern.split(";"),
-            "twisted_top_cherns": row.twisted_top_cherns.split(";"),
-            "secant_degree": row.secant_degree,
-        },
-        "verdicts": {"jnormal": row.jnormal, "zak": row.zak},
-        "flags": {
-            "integrality_warning": row.integrality_warning == "true",
-            "d_consistent": row.d_consistent == "true",
-        },
-        "citations": list(ROW_CITATIONS),
-    }
+    row = _Sweep().row
+    tuples = list(itertools.combinations_with_replacement(range(lo_d, hi_d + 1), r))
+    return [row(n, degrees, j) for n in range(lo_n, hi_n + 1) for degrees in tuples]
 
 
 def render_csv(rows: Iterable[CensusRow]) -> str:
@@ -168,12 +181,84 @@ def render_csv(rows: Iterable[CensusRow]) -> str:
     return buf.getvalue()
 
 
+# One row of the census document as json.dumps(indent=2, sort_keys=True)
+# lays it out: keys sorted at every level, the row an item of "rows".
+_JSON_ROW = """    {
+      "citations": [
+        "secant-product-formula",
+        "jnormal-bundle-criterion",
+        "zak-linear-normality"
+      ],
+      "flags": {
+        "d_consistent": %s,
+        "integrality_warning": %s
+      },
+      "inputs": {
+        "degrees": %s,
+        "j": %s,
+        "n": %s,
+        "r": %s
+      },
+      "values": {
+        "chern": %s,
+        "degree": %s,
+        "secant_degree": %s,
+        "twisted_top_cherns": %s
+      },
+      "verdicts": {
+        "jnormal": %s,
+        "zak": %s
+      }
+    }"""
+
+
+def _json_scalar(value) -> str:
+    # the encoder writes an int with int.__repr__; anything else goes to json itself
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
+def _json_list(items: list[str]) -> str:
+    """Encoded items as a list inside a row's section, where an item is
+    indented ten spaces."""
+    if not items:
+        return "[]"
+    return "[\n          " + ",\n          ".join(items) + "\n        ]"
+
+
+def _json_split(text: str) -> str:
+    """The ";"-separated string as a list of its parts, which is never empty.
+    Escaping never produces ";", so the string is encoded in one call and
+    each ";" becomes the seam between two encoded parts."""
+    parts = encode_basestring_ascii(text).replace(";", '",\n          "')
+    return "[\n          " + parts + "\n        ]"
+
+
 def render_json(rows: Iterable[CensusRow]) -> str:
-    doc = {
-        "format": "multisecant-census/1",
-        "rows": [_row_record(row) for row in rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The census document, byte for byte as ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` would write it."""
+    encode = encode_basestring_ascii
+    body = ",\n".join(
+        _JSON_ROW
+        % (
+            "true" if row.d_consistent == "true" else "false",
+            "true" if row.integrality_warning == "true" else "false",
+            _json_list([_json_scalar(d) for d in row.degrees]),
+            _json_scalar(row.j),
+            _json_scalar(row.n),
+            _json_scalar(row.r),
+            _json_split(row.chern),
+            encode(row.degree),
+            encode(row.secant_degree),
+            _json_split(row.twisted_top_cherns),
+            encode(row.jnormal),
+            encode(row.zak),
+        )
+        for row in rows
+    )
+    if not body:
+        return '{\n  "format": "multisecant-census/1",\n  "rows": []\n}\n'
+    # one copy of the body, not one per concatenation: the text is megabytes
+    return '{\n  "format": "multisecant-census/1",\n  "rows": [\n%s\n  ]\n}\n' % body
 
 
 def parse_csv(text: str) -> list[CensusRow]:
@@ -231,8 +316,12 @@ def verify_rows(rows: Iterable[CensusRow]) -> list[str]:
     """Recompute every row from its inputs; return mismatch descriptions
     (empty list when the file reproduces exactly)."""
     problems = []
+    sweep = _Sweep()
     for idx, row in enumerate(rows):
-        fresh = compute_row(row.n, row.degrees, row.j)
+        # a value that equals an int without being one (2.0, True) would share
+        # its cache entries, so such a row gets a cache of its own
+        exact = all(type(x) is int for x in (row.n, row.j, *row.degrees))
+        fresh = (sweep if exact else _Sweep()).row(row.n, row.degrees, row.j)
         if fresh != row:
             problems.append(f"row {idx}: stored {row} != recomputed {fresh}")
     return problems

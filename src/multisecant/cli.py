@@ -186,8 +186,11 @@ def _cmd_verify(args, out) -> int:
 def _cmd_census(args, out) -> int:
     rows = enumerate_rows(args.r, args.degrees, args.n, args.j)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliExit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
     log.info("census: %d rows", len(rows))
     out.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_OK

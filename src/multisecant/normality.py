@@ -11,6 +11,8 @@ secant locus) is not established and the criterion is silent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
 from .bundles import ChernVector, top_chern_twisted
 from .errors import HypothesisError
 from .rationals import format_rational
@@ -93,14 +95,19 @@ def check_jnormal_general(
     return Verdict(outcome, hyps, "jnormal-secant-criterion")
 
 
-def check_jnormal_bundle(e: ChernVector, j: int) -> Verdict:
+def check_jnormal_bundle(
+    e: ChernVector, j: int, factors: Sequence[int] | None = None
+) -> Verdict:
     """j-normality for the zero locus of a section of a rank-r bundle.
 
     The secant hypothesis is replaced by nonvanishing of the twisted top
     Chern classes c_r(E(-i)) for i = 1..j, combined with the two numeric
     bounds at m = n - r.  The untwisted value c_r(E) also enters the
     product formula for the secant degree; it is reported as a note since
-    the criterion's displayed range starts at i = 1.
+    the criterion's displayed range starts at i = 1.  A caller that
+    already holds c_r(E(-i)) for i = 0..j (the ``factors`` of
+    ``multisecant_report(e, j)``) passes them so they are not evaluated
+    again.
     """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
@@ -110,14 +117,12 @@ def check_jnormal_bundle(e: ChernVector, j: int) -> Verdict:
         raise HypothesisError(
             f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
         )
-    hyps = []
-    for i in range(1, j + 1):
-        value = top_chern_twisted(e, -i)
-        hyps.append(
-            _nonzero(
-                f"top_chern_nonzero_twist_{i}", f"c_r(E(-{i})) != 0", value
-            )
-        )
+    if factors is None:
+        factors = [top_chern_twisted(e, -i) for i in range(j + 1)]
+    hyps = [
+        _nonzero(f"top_chern_nonzero_twist_{i}", f"c_r(E(-{i})) != 0", factors[i])
+        for i in range(1, j + 1)
+    ]
     hyps.append(_ineq("codim_bound", "2(r+1)j <= m-r", 2 * (r + 1) * j, m - r))
     hyps.append(
         _ineq(
@@ -127,7 +132,7 @@ def check_jnormal_bundle(e: ChernVector, j: int) -> Verdict:
             m - 1,
         )
     )
-    untwisted = top_chern_twisted(e, 0)
+    untwisted = factors[0]
     note = (
         f"c_r(E) = {format_rational(untwisted)} "
         + (

@@ -1,13 +1,20 @@
 """Census generation, serialization round-trips, schema validation."""
 
+import dataclasses
 import json
+import math
+import random
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
+from multisecant.bundles import complete_intersection_bundle
 from multisecant.census import (
     CSV_HEADER,
+    CensusRow,
+    _Sweep,
     compute_row,
     enumerate_rows,
     parse_csv,
@@ -17,6 +24,7 @@ from multisecant.census import (
     verify_rows,
 )
 from multisecant.errors import HypothesisError
+from multisecant.normality import check_jnormal_bundle
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +117,152 @@ def test_ambient_must_exceed_codim():
 def test_bad_ranges():
     with pytest.raises(ValueError):
         enumerate_rows(2, (3, 2), (3, 5), 1)
+
+
+# -- the JSON writer against json.dumps ---------------------------------------
+
+
+def _record(row):
+    """The row as the census schema nests it, built independently of the writer."""
+    return {
+        "inputs": {"n": row.n, "r": row.r, "degrees": list(row.degrees), "j": row.j},
+        "values": {
+            "degree": row.degree,
+            "chern": row.chern.split(";"),
+            "twisted_top_cherns": row.twisted_top_cherns.split(";"),
+            "secant_degree": row.secant_degree,
+        },
+        "verdicts": {"jnormal": row.jnormal, "zak": row.zak},
+        "flags": {
+            "integrality_warning": row.integrality_warning == "true",
+            "d_consistent": row.d_consistent == "true",
+        },
+        "citations": ["secant-product-formula", "jnormal-bundle-criterion", "zak-linear-normality"],
+    }
+
+
+def _reference_json(rows):
+    doc = {"format": "multisecant-census/1", "rows": [_record(row) for row in rows]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_ints = st.one_of(
+    st.integers(-3, 6),
+    st.integers(-(10**40), 10**40),
+    st.sampled_from([0, -(10**39) - 7, 10**40 - 1]),
+)
+# parse_json keeps whatever scalar a file holds, and the writer must too
+_scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_texts = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é;ü", "\U0001f600", ";", ""]),
+)
+_census_rows = st.builds(
+    CensusRow,
+    n=_scalars,
+    r=_scalars,
+    degrees=st.lists(_scalars, max_size=4).map(tuple),
+    j=st.integers(0, 6),
+    degree=_texts,
+    chern=_texts,
+    twisted_top_cherns=_texts,
+    secant_degree=_texts,
+    jnormal=_texts,
+    zak=_texts,
+    integrality_warning=st.sampled_from(["true", "false"]),
+    d_consistent=st.sampled_from(["true", "false"]),
+)
+
+
+@given(st.lists(_census_rows, max_size=4))
+def test_json_writer_matches_json_dumps(rows):
+    text = render_json(rows)
+    assert text == _reference_json(rows)
+    assert parse_json(text) == rows
+
+
+def test_json_writer_on_no_rows_and_on_the_grid():
+    assert render_json([]) == _reference_json([])
+    rows = enumerate_rows(3, (-3, 6), (4, 6), 2)
+    assert render_json(rows) == _reference_json(rows)
+
+
+# -- rows built from the sweep cache --------------------------------------------
+
+
+def _seeded_sweep(seed):
+    rng = random.Random(seed)
+    r, j = rng.randint(1, 4), rng.randint(1, 4)
+    lo = rng.randint(-3, 0)  # every sweep crosses degree 0
+    hi = rng.randint(0, 6) if r < 4 else rng.randint(0, 3)
+    lo_n = rng.randint(r + 1, r + 4)
+    return r, (lo, hi), (lo_n, lo_n + rng.randint(0, 3)), j
+
+
+# Sweeps across the smallest n at which both j-normality bounds hold
+# (11 for r = 1, j = 2; 10 for r = 2, j = 1), where rows of one n differ in
+# their verdict only by which twisted factors vanish.
+_BOUNDARY_SWEEPS = [(1, (-1, 3), (10, 12), 2), (2, (0, 3), (9, 11), 1)]
+
+
+@pytest.mark.parametrize(
+    "r, degree_range, ambient_range, j",
+    [_seeded_sweep(seed) for seed in range(12)] + _BOUNDARY_SWEEPS,
+)
+def test_sweep_rows_equal_fresh_rows(r, degree_range, ambient_range, j):
+    rows = enumerate_rows(r, degree_range, ambient_range, j)
+    for row in rows:
+        assert row == compute_row(row.n, row.degrees, row.j)
+        # independent of the sweep: the split product and the uncached verdict
+        factors = [math.prod(d - i for d in row.degrees) for i in range(j + 1)]
+        assert row.twisted_top_cherns == ";".join(map(str, factors))
+        bundle = complete_intersection_bundle(row.n, row.degrees)
+        assert row.jnormal == check_jnormal_bundle(bundle, j).outcome
+
+
+@pytest.mark.parametrize(
+    "field, value", [("secant_degree", "7"), ("jnormal", "holds")]
+)
+def test_tampered_row_after_its_inputs_are_cached(field, value):
+    # degrees >= 2 leave no twisted factor zero, so the last row's degree
+    # tuple (seen at n = 3..5) and its (n, r, j) (seen with (2, 2) ... (3, 4))
+    # are both cached before it is checked
+    rows = enumerate_rows(2, (2, 4), (3, 6), 1)
+    last = rows[-1]
+    assert (last.n, last.degrees) == (6, (4, 4)) and getattr(last, field) != value
+    tampered = rows[:-1] + [dataclasses.replace(last, **{field: value})]
+    problems = verify_rows(tampered)
+    assert len(problems) == 1 and problems[0].startswith(f"row {len(rows) - 1}: ")
+
+
+@pytest.mark.parametrize(
+    "n, degrees, j",
+    [(2, (2, 2), 1), (1, (3,), 2), (3, (1, 1, 2), 3), (0, (2, 2), 1), (4, (1, 2), 0), (4, (1, 2), -1)],
+)
+def test_rows_outside_the_range_raise_as_compute_row_does(n, degrees, j):
+    with pytest.raises((HypothesisError, ValueError)) as fresh:
+        compute_row(n, degrees, j)
+    # a valid row with the same degree tuple fills the cache first
+    good = compute_row(len(degrees) + 2, degrees, max(j, 1))
+    bad = dataclasses.replace(good, n=n, j=j)
+    with pytest.raises(fresh.type) as swept:
+        verify_rows([good, bad])
+    assert str(swept.value) == str(fresh.value)
+    sweep = _Sweep()
+    with pytest.raises(fresh.type):
+        sweep.row(n, degrees, j)
+    assert sweep.values == {} and sweep.verdicts == {}
+
+
+@pytest.mark.parametrize("field, value", [("n", 5.0), ("degrees", (2.0, 3)), ("j", 1.0)])
+def test_rows_with_inputs_that_only_equal_ints_are_not_shared(field, value):
+    # a float input raises in compute_row; it must not read the entries that
+    # the int row with equal inputs left in the cache
+    good = compute_row(5, (2, 3), 1)
+    odd = dataclasses.replace(good, **{field: value})
+    with pytest.raises(TypeError) as fresh:
+        compute_row(odd.n, odd.degrees, odd.j)
+    with pytest.raises(TypeError) as swept:
+        verify_rows([good, odd])
+    assert str(swept.value) == str(fresh.value)

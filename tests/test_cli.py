@@ -6,7 +6,6 @@ after verifying any changed values independently.
 """
 
 import io
-import json
 import os
 from pathlib import Path
 
@@ -141,6 +140,17 @@ class TestExitCodes:
              "--j", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_census_into_missing_directory_is_usage(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code, text = run(
+            ["census", "--r", "2", "--degrees", "1..3", "--n", "3..5",
+             "--j", "1", "--out", str(out)]
+        )
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
 
     def test_suite_failure_is_exit_three(self, monkeypatch):
         from multisecant import verify as verify_mod

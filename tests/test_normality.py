@@ -12,6 +12,7 @@ from multisecant import (
     check_linear_normality_zak,
     complete_intersection_bundle,
     jnormal_min_ambient_dim,
+    multisecant_report,
     ran_min_ambient_dim,
 )
 
@@ -75,6 +76,14 @@ class TestJnormalBundle:
         e = complete_intersection_bundle(18, [3, 3])
         v = check_jnormal_bundle(e, 2)
         assert any("c_r(E) = 9" in note for note in v.notes)
+
+    @pytest.mark.parametrize(
+        "n, degrees, j", [(18, [3, 3], 2), (18, [2, 2], 2), (10, [3, 3], 2), (9, [1, 0, 4], 3)]
+    )
+    def test_given_factors_give_the_same_verdict(self, n, degrees, j):
+        e = complete_intersection_bundle(n, degrees)
+        factors = multisecant_report(e, j).factors
+        assert check_jnormal_bundle(e, j, factors) == check_jnormal_bundle(e, j)
 
 
 class TestTwoNormal:

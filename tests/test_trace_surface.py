@@ -8,7 +8,7 @@ and uninstalling the tracer here turns such a break into a test failure.
 import importlib.util
 from pathlib import Path
 
-from multisecant import bundles, verify
+from multisecant import bundles, census, verify
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +38,21 @@ def test_install_wraps_and_uninstall_restores():
     assert bundles.ChernVector.__dict__["make"] is make
     assert bundles.twist is twist
     assert verify._RUNNERS == runners
+
+
+def test_census_rows_and_bytes_are_counted():
+    # the tracer takes len() of enumerate_rows' result and len(text.encode())
+    # of each render, so both must keep returning a list and a str
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        rows = census.enumerate_rows(2, (2, 3), (3, 5), 1)
+        csv_text = census.render_csv(rows)
+        json_text = census.render_json(rows)
+    finally:
+        uninstall()
+    assert isinstance(rows, list) and len(rows) == 9
+    assert tracer.counts["census.rows"] == 9
+    assert tracer.counts["census.bytes_written"] == len(csv_text.encode()) + len(json_text.encode())
+    assert tracer.counts["census.bytes_written"] > 0
