@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive):
              | "T"                               tangent bundle
              | "N" "{" "r=" int "," "c=[" int {"," int} "]"
                        [ "," "d=" int ] "}"      abstract normal data
-    int     := [ "-" ] digits
+    int     := [ "-" ] digits                    ASCII 0-9 only
 
 Sums elaborate by Whitney sum; a twist suffix applies only to a
 parenthesized expression.  ``parse_bundle(print_bundle(tree)) == tree``
@@ -100,11 +100,17 @@ class _Scanner:
         if self.pos < len(self.src) and self.src[self.pos] == "-":
             self.pos += 1
         digits_start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        # ASCII only: str.isdigit() also takes superscript and Arabic-Indic digits
+        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits_start:
             raise ParseError("expected an integer", start)
-        return int(self.src[start : self.pos])
+        try:
+            return int(self.src[start : self.pos])
+        except ValueError:  # longer than Python's integer string limit
+            raise ParseError(
+                f"integer literal too long ({self.pos - digits_start} digits)", start
+            ) from None
 
 
 def parse_bundle(src: str) -> BundleExpr:

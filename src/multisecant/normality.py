@@ -46,10 +46,6 @@ class Verdict:
     citation: str
     notes: tuple[str, ...] = ()
 
-    @property
-    def holds(self) -> bool:
-        return self.outcome == HOLDS
-
 
 def _ineq(name: str, condition: str, left, right) -> Hypothesis:
     return Hypothesis(name, condition, left, right, left <= right)
@@ -58,6 +54,16 @@ def _ineq(name: str, condition: str, left, right) -> Hypothesis:
 def _nonzero(name: str, condition: str, value) -> Hypothesis:
     # the criterion is c != 0, so the value is shown against 0
     return Hypothesis(name, condition, value, 0, value != 0)
+
+
+def _secant_bounds(m: int, r: int, j: int) -> tuple[Hypothesis, Hypothesis]:
+    """The paper's two numeric j-normality bounds for X^m in P^(m+r)."""
+    return (
+        _ineq("codim_bound", "2(r+1)j <= m-r", 2 * (r + 1) * j, m - r),
+        _ineq(
+            "intersection_bound", "(j+1)((r+1)j-1) <= m-1", (j + 1) * ((r + 1) * j - 1), m - 1
+        ),
+    )
 
 
 def check_jnormal_general(
@@ -81,10 +87,7 @@ def check_jnormal_general(
         True,
         secants_nonempty,
     )
-    first = _ineq("codim_bound", "2(r+1)j <= m-r", 2 * (r + 1) * j, m - r)
-    second = _ineq(
-        "intersection_bound", "(j+1)((r+1)j-1) <= m-1", (j + 1) * ((r + 1) * j - 1), m - 1
-    )
+    first, second = _secant_bounds(m, r, j)
     hyps = (gate, first, second)
     if not secants_nonempty:
         outcome = INAPPLICABLE
@@ -123,15 +126,7 @@ def check_jnormal_bundle(
         _nonzero(f"top_chern_nonzero_twist_{i}", f"c_r(E(-{i})) != 0", factors[i])
         for i in range(1, j + 1)
     ]
-    hyps.append(_ineq("codim_bound", "2(r+1)j <= m-r", 2 * (r + 1) * j, m - r))
-    hyps.append(
-        _ineq(
-            "intersection_bound",
-            "(j+1)((r+1)j-1) <= m-1",
-            (j + 1) * ((r + 1) * j - 1),
-            m - 1,
-        )
-    )
+    hyps += _secant_bounds(m, r, j)
     untwisted = factors[0]
     note = (
         f"c_r(E) = {format_rational(untwisted)} "

@@ -5,6 +5,12 @@ seeded random sample and reports pass/fail with replayable
 counterexamples (the seed and the offending inputs are printed, never
 summarized away).  Suites are deterministic functions of (trials, seed).
 
+The exact suites check and tally in one place: ``_sampled`` runs every
+seeded suite (header, trial loop, failure count), and ``SuiteReport.count``
+writes the ``[FAIL]`` lines and counts them, for ``_sampled`` and for the
+three exhaustive grids of ``lemma51``.  A suite supplies only its sample
+line and how one case is drawn and checked.
+
 ``bterm-experiment`` is different in kind: it compares the raw and
 reduced forms of the trisecant (b) term, whose agreement is under
 investigation, and passes by producing a complete match/mismatch report
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .bundles import ChernVector
 from .combinat import (
@@ -33,19 +40,6 @@ from .secants import (
     trisecant_double_sum,
 )
 
-SUITE_NAMES = (
-    "recursion-oracle",
-    "trisecant-identity",
-    "lemma51",
-    "cterm",
-    "bterm-experiment",
-)
-
-# criterion grid for the recursion oracle
-ORACLE_AMBIENT_DIMS = range(3, 9)
-ORACLE_CODIMS = range(1, 4)
-ORACLE_SECANT_KS = range(1, 4)
-
 
 @dataclass
 class SuiteReport:
@@ -55,6 +49,15 @@ class SuiteReport:
 
     def add(self, line: str):
         self.lines.append(line)
+
+    def count(self, broken: Iterable[tuple[str, str]]) -> int:
+        """Add a ``[FAIL] <label>: <where>`` line per broken case; return
+        how many there were."""
+        failures = 0
+        for label, where in broken:
+            self.add(f"[FAIL] {label}: {where}")
+            failures += 1
+        return failures
 
     def finish(self) -> "SuiteReport":
         status = "PASS" if self.passed else "FAIL"
@@ -67,13 +70,41 @@ def _random_chern_vector(rng: random.Random, n: int, r: int, bound: int) -> Cher
     return ChernVector.make(n, c)
 
 
+def _sampled(
+    name: str,
+    trials: int,
+    seed: int,
+    sample: str,
+    case: Callable[[random.Random, int], str | None],
+    worked: Callable[[SuiteReport], int] | None = None,
+) -> SuiteReport:
+    """Run one seeded exact suite: ``case(rng, trial)`` draws a case from
+    the shared stream, checks its identity and returns where it broke, or
+    None when it holds (so passing cases format nothing).
+
+    ``worked`` checks a fixed instance before the trials and returns its
+    failure count; with one, the failure line counts all failures, not
+    failures per trial.
+    """
+    rng = random.Random(seed)
+    report = SuiteReport(name, True, [f"suite: {name}", f"trials: {trials}, seed: {seed}", sample])
+    failures = worked(report) if worked else 0
+    failures += report.count(
+        (f"trial {trial}", where)
+        for trial in range(trials)
+        if (where := case(rng, trial)) is not None
+    )
+    if failures:
+        report.passed = False
+        report.add(f"failures: {failures}" if worked else f"failures: {failures}/{trials}")
+    else:
+        report.add(f"exact matches: {trials}/{trials}")
+    return report.finish()
+
+
 def oracle_grid() -> list[tuple[int, int, int]]:
-    return [
-        (n, r, k)
-        for n in ORACLE_AMBIENT_DIMS
-        for r in ORACLE_CODIMS
-        for k in ORACLE_SECANT_KS
-    ]
+    """The criterion grid of the recursion oracle: n in 3..8, r and k in 1..3."""
+    return [(n, r, k) for n in range(3, 9) for r in range(1, 4) for k in range(1, 4)]
 
 
 def run_recursion_oracle(trials: int = 200, seed: int = 0) -> SuiteReport:
@@ -82,50 +113,29 @@ def run_recursion_oracle(trials: int = 200, seed: int = 0) -> SuiteReport:
     Trials cycle round-robin over the full (n, r, k) grid so every cell is
     exercised; Chern data is drawn fresh per trial with |c_i| <= 5.
     """
-    rng = random.Random(seed)
     grid = oracle_grid()
-    report = SuiteReport("recursion-oracle", True)
-    report.add("suite: recursion-oracle")
-    report.add(f"trials: {trials}, seed: {seed}")
-    report.add("grid: n in 3..8, r in 1..3, k in 1..3, |c_i| <= 5")
-    failures = 0
-    for trial in range(trials):
+
+    def case(rng, trial):
         n, r, k = grid[trial % len(grid)]
         cv = _random_chern_vector(rng, n, r, 5)
         if recursion_top_chern(cv, k) != closed_form_top_chern(cv, k):
-            failures += 1
-            report.add(
-                f"[FAIL] trial {trial}: n={n} r={r} k={k} c={cv.c} "
-                "(recursion != closed form)"
-            )
-    if failures:
-        report.passed = False
-        report.add(f"failures: {failures}/{trials}")
-    else:
-        report.add(f"exact matches: {trials}/{trials}")
-    return report.finish()
+            return f"n={n} r={r} k={k} c={cv.c} (recursion != closed form)"
+
+    grid_line = "grid: n in 3..8, r in 1..3, k in 1..3, |c_i| <= 5"
+    return _sampled("recursion-oracle", trials, seed, grid_line, case)
 
 
 def run_trisecant_identity(trials: int = 1000, seed: int = 0) -> SuiteReport:
     """trisecant double sum == trisecant closed form, exact."""
-    rng = random.Random(seed)
-    report = SuiteReport("trisecant-identity", True)
-    report.add("suite: trisecant-identity")
-    report.add(f"trials: {trials}, seed: {seed}")
-    report.add("sample: r in 1..6, |c_i| <= 9")
-    failures = 0
-    for trial in range(trials):
+
+    def case(rng, trial):
         r = rng.randint(1, 6)
         cv = _random_chern_vector(rng, max(2 * r - 1, 2), r, 9)
         if trisecant_double_sum(cv) != trisecant_closed(cv):
-            failures += 1
-            report.add(f"[FAIL] trial {trial}: r={r} c={cv.c}")
-    if failures:
-        report.passed = False
-        report.add(f"failures: {failures}/{trials}")
-    else:
-        report.add(f"exact matches: {trials}/{trials}")
-    return report.finish()
+            return f"r={r} c={cv.c}"
+
+    sample = "sample: r in 1..6, |c_i| <= 9"
+    return _sampled("trisecant-identity", trials, seed, sample, case)
 
 
 def run_lemma51(trials: int = 0, seed: int = 0) -> SuiteReport:
@@ -137,38 +147,35 @@ def run_lemma51(trials: int = 0, seed: int = 0) -> SuiteReport:
     the discrepancy witness at (n=2, t=1) is always reported.
     """
     del trials, seed  # exhaustive grids
-    report = SuiteReport("lemma51", True)
-    report.add("suite: lemma51")
+    report = SuiteReport("lemma51", True, ["suite: lemma51"])
     report.add(
         "grid: rank identity for l+p <= 40, t <= 40; alternating sums for n, t <= 30"
     )
-    first_cases = first_bad = 0
-    for m in range(41):
-        for l in range(m + 1):
-            for t in range(41):
-                lhs, rhs = koszul_rank_identity(l, m - l, t)
-                first_cases += 1
-                if lhs != rhs:
-                    first_bad += 1
-                    report.add(f"[FAIL] rank identity: l={l} p={m - l} t={t}")
-    report.add(f"rank identity: {first_cases - first_bad}/{first_cases} exact")
-
-    unit_cases = unit_bad = 0
-    shifted_cases = shifted_bad = 0
-    for n in range(31):
-        for t in range(31):
-            unit_cases += 1
-            if wedge_resolution_sum_unit(n, t) != (-1) ** t:
-                unit_bad += 1
-                report.add(f"[FAIL] unit alternating sum: n={n} t={t}")
-            shifted_cases += 1
-            if wedge_resolution_sum_shifted(n, t) != (-1) ** t * (t + 1):
-                shifted_bad += 1
-                report.add(f"[FAIL] shifted alternating sum: n={n} t={t}")
-    report.add(f"unit alternating sum == (-1)^t: {unit_cases - unit_bad}/{unit_cases}")
+    # the rank grid is walked, not listed: 35,301 tuples would add 2 MB of peak RSS
+    rank_cases = sum(m + 1 for m in range(41)) * 41
+    rank_bad = report.count(
+        ("rank identity", f"l={l} p={m - l} t={t}")
+        for m in range(41)
+        for l in range(m + 1)
+        for t in range(41)
+        for lhs, rhs in [koszul_rank_identity(l, m - l, t)]
+        if lhs != rhs
+    )
+    report.add(f"rank identity: {rank_cases - rank_bad}/{rank_cases} exact")
+    cells = [(n, t) for n in range(31) for t in range(31)]
+    unit_bad = report.count(
+        ("unit alternating sum", f"n={n} t={t}")
+        for n, t in cells
+        if wedge_resolution_sum_unit(n, t) != (-1) ** t
+    )
+    shifted_bad = report.count(
+        ("shifted alternating sum", f"n={n} t={t}")
+        for n, t in cells
+        if wedge_resolution_sum_shifted(n, t) != (-1) ** t * (t + 1)
+    )
+    report.add(f"unit alternating sum == (-1)^t: {len(cells) - unit_bad}/{len(cells)}")
     report.add(
-        "shifted alternating sum == (-1)^t*(t+1): "
-        f"{shifted_cases - shifted_bad}/{shifted_cases}"
+        f"shifted alternating sum == (-1)^t*(t+1): {len(cells) - shifted_bad}/{len(cells)}"
     )
     witness = wedge_resolution_sum_shifted(2, 1)
     report.add(
@@ -176,40 +183,30 @@ def run_lemma51(trials: int = 0, seed: int = 0) -> SuiteReport:
         "not the unit value -1; the unit form requires the symmetric-power "
         "dimension binom(n+i, i)"
     )
-    report.passed = first_bad == 0 and unit_bad == 0 and shifted_bad == 0
+    report.passed = not (rank_bad or unit_bad or shifted_bad)
     return report.finish()
 
 
 def run_cterm(trials: int = 200, seed: int = 0) -> SuiteReport:
     """(c)-term raw sum == closed form d*c_(r-1) + d^2*(r-1), exact."""
-    rng = random.Random(seed)
-    report = SuiteReport("cterm", True)
-    report.add("suite: cterm")
-    report.add(f"trials: {trials}, seed: {seed}")
-    report.add("sample: r in 1..6, n in max(1, 2r-2)..30, |c_i| <= 9, d = c_r")
-    failures = 0
-    worked = ChernVector.make(4, [1, 4, 4])
-    full, reduced = goettsche_c_full(worked), goettsche_c_reduced(worked)
-    if full == reduced == 32:
-        report.add("worked instance n=4 r=2 c=(1,4,4): both routes give 32")
-    else:
-        failures += 1
-        report.add(
-            f"[FAIL] worked instance: full={full} reduced={reduced}, expected 32"
-        )
-    for trial in range(trials):
+
+    def worked(report):
+        cv = ChernVector.make(4, [1, 4, 4])
+        full, reduced = goettsche_c_full(cv), goettsche_c_reduced(cv)
+        if full == reduced == 32:
+            report.add("worked instance n=4 r=2 c=(1,4,4): both routes give 32")
+            return 0
+        return report.count([("worked instance", f"full={full} reduced={reduced}, expected 32")])
+
+    def case(rng, trial):
         r = rng.randint(1, 6)
         n = rng.randint(max(1, 2 * r - 2), 30)
         cv = _random_chern_vector(rng, n, r, 9)
         if goettsche_c_full(cv) != goettsche_c_reduced(cv):
-            failures += 1
-            report.add(f"[FAIL] trial {trial}: n={n} r={r} c={cv.c}")
-    if failures:
-        report.passed = False
-        report.add(f"failures: {failures}")
-    else:
-        report.add(f"exact matches: {trials}/{trials}")
-    return report.finish()
+            return f"n={n} r={r} c={cv.c}"
+
+    sample = "sample: r in 1..6, n in max(1, 2r-2)..30, |c_i| <= 9, d = c_r"
+    return _sampled("cterm", trials, seed, sample, case, worked)
 
 
 def bterm_grid(seed: int = 0, cases: int = 50) -> list[ChernVector]:
@@ -257,6 +254,7 @@ _RUNNERS = {
     "cterm": (run_cterm, 200),
     "bterm-experiment": (run_bterm_experiment, 50),
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> SuiteReport:

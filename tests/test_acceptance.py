@@ -4,9 +4,10 @@ Run as
     pytest tests/test_acceptance.py -v -s
 to see the PASS/FAIL line per criterion.  All checks are exact (integer
 or Fraction equality); tolerances appear only as runtime ceilings.
-Criteria 01, 03, 04 and 05 run the ``verify`` suites through
+Criteria 01, 03, 04, 05 and 09 run the ``verify`` suites through
 ``run_suite``, so the CLI and these criteria check the same loops;
-tests/test_verify.py pins what those suites print when an identity breaks.
+tests/test_verify.py pins what those suites print, passing and when an
+identity breaks.
 
 Criterion 10 is a printed-vs-corrected check, like criterion 05: the
 printed residual identity between the trisecant double sum and the
@@ -39,7 +40,7 @@ from multisecant import (
     trisecant_double_sum,
     wedge_resolution_sum_shifted,
 )
-from multisecant.verify import oracle_grid, run_bterm_experiment, run_suite
+from multisecant.verify import oracle_grid, run_suite
 
 SEED = 20240801
 
@@ -193,7 +194,7 @@ def test_criterion_08_three_points_per_line():
 
 def test_criterion_09_b_term_experiment():
     started = time.monotonic()
-    suite = run_bterm_experiment(50, 0)
+    suite = run_suite("bterm-experiment", 50, 0)
     elapsed = time.monotonic() - started
     case_lines = [line for line in suite.lines if line.startswith("[case")]
     verdicts = [line.rsplit(" ", 1)[1] for line in case_lines]
@@ -201,7 +202,7 @@ def test_criterion_09_b_term_experiment():
         v in ("match", "mismatch") for v in verdicts
     )
     # determinism: the report must reproduce byte for byte
-    replay = run_bterm_experiment(50, 0)
+    replay = run_suite("bterm-experiment", 50, 0)
     ok = complete and suite.passed and replay.lines == suite.lines and elapsed < 10.0
     assert report(
         9,

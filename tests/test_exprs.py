@@ -1,7 +1,9 @@
 """Bundle-expression parsing, printing, elaboration."""
 
+import io
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from multisecant import (
     ParseError,
@@ -12,6 +14,7 @@ from multisecant import (
     tangent_bundle,
     twist,
 )
+from multisecant.cli import run_command
 from multisecant.exprs import (
     AbstractNormalExpr,
     LineBundleExpr,
@@ -19,6 +22,18 @@ from multisecant.exprs import (
     TangentExpr,
     TwistExpr,
 )
+
+# longer than Python's default 4,300-digit limit on int(str)
+LONG_LITERAL = "O(" + "9" * 5000 + ")"
+
+# non-ASCII digits (superscript two, Arabic-Indic three) and literals int()
+# refuses, each with the offset of the literal's first character
+BAD_LITERALS = {
+    "superscript-two": ("O(\u00b2)", 2),
+    "arabic-indic-three": ("N{r=1,c=[1,\u0663]}", 11),
+    "5000-digits": (LONG_LITERAL, 2),
+    "5000-digit-negative-twist": ("(T)@(-" + "1" * 5000 + ")", 5),
+}
 
 
 class TestParsing:
@@ -68,6 +83,30 @@ class TestParsing:
             parse_bundle("N{r=2, c=[2,4,4]}")  # leading coefficient
         with pytest.raises(ParseError):
             parse_bundle("N{r=0, c=[1]}")
+
+    @pytest.mark.parametrize("case", list(BAD_LITERALS))
+    def test_bad_literal_is_a_parse_error_at_its_start(self, case):
+        src, position = BAD_LITERALS[case]
+        with pytest.raises(ParseError) as err:
+            parse_bundle(src)
+        assert err.value.position == position
+
+    @given(st.text())
+    @example("O(\u00b2)")
+    @example("N{r=1,c=[1,\u0663]}")
+    @example(LONG_LITERAL)
+    def test_any_text_parses_or_raises_parse_error(self, src):
+        try:
+            parse_bundle(src)
+        except ParseError as err:
+            assert 0 <= err.position <= len(src)
+
+
+@pytest.mark.parametrize("case", list(BAD_LITERALS))
+def test_cli_exits_one_on_a_bad_literal(case, capsys):
+    code = run_command(["chern", "--n", "3", BAD_LITERALS[case][0]], out=io.StringIO())
+    assert code == 1
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def expr_trees(max_depth=3):

@@ -1,4 +1,5 @@
-"""Every exported name has a caller outside the tests, or a stated reason.
+"""Every exported name and public method has a caller outside the tests,
+or a stated reason.
 
 A name in ``multisecant.__all__`` passes when one of these holds:
 
@@ -9,11 +10,16 @@ A name in ``multisecant.__all__`` passes when one of these holds:
 * it is in ``ALLOWED`` below, which says which test uses it as an
   independent oracle or which ROADMAP item will give it a caller.
 
+A public method or property of an exported class (dunders excluded) passes
+the same way, with ``ALLOWED_METHODS`` as its allowlist; only attribute
+accesses count as a use, so a local variable of the same name does not.
+
 References are read from the syntax tree, so a name that only appears in
 a docstring or a comment does not count.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import multisecant
@@ -29,10 +35,35 @@ ALLOWED = {
     "jnormal_min_ambient_dim": "ROADMAP item 3 (bound reductions as checked identities)",
 }
 
+ALLOWED_METHODS = {
+    "ChernVector.degree_consistent": "ROADMAP item 6 (make the consistency promise real)",
+    "FiberRing.hyperplane_class": (
+        "oracle: tests/test_fiberring.py::TestRelations::test_hyperplane_power_collapse"
+    ),
+    "FiberRing.top_monomial": (
+        "oracle: tests/test_fiberring.py::TestRingAxioms::test_integrate_normalization"
+    ),
+    "FiberRingElement.is_zero": (
+        "oracle: tests/test_fiberring.py TestRelations and "
+        "TestRecursion::test_trivial_bundle_dies"
+    ),
+    "FiberRingElement.coefficient": (
+        "oracle: tests/test_fiberring.py test_coefficient_index_bounds and "
+        "test_coefficient_rejects_non_normal_monomials"
+    ),
+    "TruncatedClassPoly.coefficient": (
+        "oracle: tests/test_bundles.py (test_tangent_top_coefficient, "
+        "test_duality_with_polynomial_route) and tests/test_classpoly.py"
+    ),
+}
 
-def _references(tree: ast.AST, skip_definition_of: str | None = None) -> set[str]:
-    """Names and attribute names used in ``tree``, outside the body of a
-    top-level or nested definition called ``skip_definition_of``."""
+
+def _references(
+    tree: ast.AST, skip_definition_of: str | None = None, attributes_only: bool = False
+) -> set[str]:
+    """Names and attribute names used in ``tree`` (attribute names only,
+    with ``attributes_only``), outside the body of a top-level or nested
+    definition called ``skip_definition_of``."""
     found = set()
 
     def visit(node):
@@ -41,7 +72,7 @@ def _references(tree: ast.AST, skip_definition_of: str | None = None) -> set[str
             and node.name == skip_definition_of
         ):
             return
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -52,13 +83,35 @@ def _references(tree: ast.AST, skip_definition_of: str | None = None) -> set[str
     return found
 
 
-def _used_in_package(name: str) -> bool:
+def _used_in_package(name: str, attributes_only: bool = False) -> bool:
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
-        if name in _references(ast.parse(path.read_text()), skip_definition_of=name):
+        tree = ast.parse(path.read_text())
+        if name in _references(tree, skip_definition_of=name, attributes_only=attributes_only):
             return True
     return False
+
+
+def _public_methods() -> dict[str, str]:
+    """``Class.attr`` -> ``attr`` for each public method, classmethod,
+    staticmethod and property that an exported class defines."""
+    found = {}
+    for name in sorted(multisecant.__all__):
+        cls = getattr(multisecant, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, value in vars(cls).items():
+            callable_member = inspect.isfunction(value) or isinstance(
+                value, (property, classmethod, staticmethod)
+            )
+            if callable_member and not attr.startswith("_"):
+                found[f"{name}.{attr}"] = attr
+    return found
+
+
+def _method_used(attr: str) -> bool:
+    return _used_in_package(attr, attributes_only=True) or attr in TRACED
 
 
 TRACED = _references(ast.parse(TRACING.read_text()))
@@ -80,3 +133,22 @@ def test_allowlist_names_only_exported_test_only_names():
     for name in ALLOWED:
         assert name in multisecant.__all__
         assert not _used_in_package(name) and name not in TRACED
+
+
+def test_every_public_method_has_a_reason():
+    unexplained = [
+        qualified
+        for qualified, attr in _public_methods().items()
+        if not (_method_used(attr) or qualified in ALLOWED_METHODS)
+    ]
+    # each of these is a public method nothing outside the tests calls: give
+    # it a caller, delete it, or name its oracle test or ROADMAP item in
+    # ALLOWED_METHODS
+    assert unexplained == []
+
+
+def test_method_allowlist_names_only_test_only_methods():
+    methods = _public_methods()
+    for qualified in ALLOWED_METHODS:
+        assert qualified in methods
+        assert not _method_used(methods[qualified])

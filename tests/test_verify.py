@@ -1,13 +1,17 @@
-"""Failure paths of the asserting verify suites.
+"""Passing and failure output of every verify suite.
 
-Each case breaks one side of a suite's identity inside ``multisecant.verify``
+``PASSING`` pins each suite's full stdout at a small trial count, with exit
+code 0, so a change to a header or ``sample:`` line shows.  Each failure
+case breaks one side of a suite's identity inside ``multisecant.verify``
 and pins what ``verify`` prints through ``run_command``: the ``[FAIL]``
 lines with their replayable inputs, the failure count, the ``suite X: FAIL``
-line and exit code 3.  The passing paths are pinned by the goldens and the
-acceptance criteria, which call the same suites.
+line and exit code 3.  The last test keeps the benchmark's suite list in
+step with the suite table.
 """
 
+import ast
 import io
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +166,97 @@ def test_broken_identity_fails_the_suite(case, monkeypatch):
     code = run_command(["verify", "--suite", suite, *options], out=out)
     assert out.getvalue() == "\n".join(expected) + "\n"
     assert code == 3
+
+
+PASSING = {
+    "recursion-oracle": (
+        ["--trials", "3", "--seed", "1"],
+        [
+            "suite: recursion-oracle",
+            "trials: 3, seed: 1",
+            "grid: n in 3..8, r in 1..3, k in 1..3, |c_i| <= 5",
+            "exact matches: 3/3",
+            "suite recursion-oracle: PASS",
+        ],
+    ),
+    "trisecant-identity": (
+        ["--trials", "3", "--seed", "1"],
+        [
+            "suite: trisecant-identity",
+            "trials: 3, seed: 1",
+            "sample: r in 1..6, |c_i| <= 9",
+            "exact matches: 3/3",
+            "suite trisecant-identity: PASS",
+        ],
+    ),
+    "lemma51": (
+        ["--trials", "3", "--seed", "1"],
+        [
+            "suite: lemma51",
+            "grid: rank identity for l+p <= 40, t <= 40; alternating sums for n, t <= 30",
+            "rank identity: 35301/35301 exact",
+            "unit alternating sum == (-1)^t: 961/961",
+            "shifted alternating sum == (-1)^t*(t+1): 961/961",
+            LEMMA51_NOTE,
+            "suite lemma51: PASS",
+        ],
+    ),
+    "cterm": (
+        ["--trials", "3", "--seed", "1"],
+        [
+            "suite: cterm",
+            "trials: 3, seed: 1",
+            "sample: r in 1..6, n in max(1, 2r-2)..30, |c_i| <= 9, d = c_r",
+            "worked instance n=4 r=2 c=(1,4,4): both routes give 32",
+            "exact matches: 3/3",
+            "suite cterm: PASS",
+        ],
+    ),
+    "bterm-experiment": (
+        ["--trials", "5", "--seed", "1"],
+        [
+            "suite: bterm-experiment",
+            "cases: 5 (fixed grid, chern data seed 1)",
+            "[case 00] n=2 r=1 c=(1, -3): full=1 reduced=1 match",
+            "[case 01] n=4 r=2 c=(1, 4, -4): full=-2 reduced=-2 match",
+            "[case 02] n=7 r=3 c=(1, -1, -4, 2): full=-16 reduced=-16 match",
+            "[case 03] n=10 r=4 c=(1, 2, 2, 5, 1): full=8 reduced=8 match",
+            "[case 04] n=9 r=5 c=(1, -2, -4, 2, -5, 1): full=-68 reduced=-68 match",
+            "summary: 5/5 match, 0/5 mismatch",
+            "report complete; the comparison is observational",
+            "suite bterm-experiment: PASS",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", list(PASSING))
+def test_passing_output_is_pinned(suite):
+    options, expected = PASSING[suite]
+    out = io.StringIO()
+    code = run_command(["verify", "--suite", suite, *options], out=out)
+    assert out.getvalue() == "\n".join(expected) + "\n"
+    assert code == 0
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_names_every_suite():
+    # read from the syntax tree: the benchmark's modules are not imported
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text())
+    suites = next(
+        ast.literal_eval(node.value)
+        for node in workloads.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SUITES" for t in node.targets)
+    )
+    checks = ast.parse((PERFBENCH / "checks.py").read_text())
+    suite_calls = next(
+        node
+        for node in checks.body
+        if isinstance(node, ast.FunctionDef) and node.name == "suite_calls"
+    )
+    table = next(node for node in ast.walk(suite_calls) if isinstance(node, ast.Dict))
+    counted = {ast.literal_eval(key) for key in table.keys}
+    assert set(suites) == counted == set(verify._RUNNERS)
