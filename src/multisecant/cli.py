@@ -178,7 +178,7 @@ def _cmd_verify(args, out) -> int:
     try:
         report = run_suite(args.suite, args.trials, args.seed)
     except ValueError as exc:
-        raise _CliExit(EXIT_USAGE, str(exc))
+        raise _CliExit(EXIT_USAGE, f"error: {exc}")
     out.write("\n".join(report.lines) + "\n")
     return EXIT_OK if report.passed else EXIT_SUITE_FAILURE
 

@@ -37,6 +37,10 @@ from .bundles import (
 )
 from .errors import ParseError
 
+# Deepest "(" nesting the parser accepts.  The parser recurses once per
+# level, so without a limit deep input would exhaust Python's stack.
+MAX_NESTING = 100
+
 BundleExpr = Union["LineBundleExpr", "TangentExpr", "SumExpr", "TwistExpr", "AbstractNormalExpr"]
 
 
@@ -115,25 +119,28 @@ class _Scanner:
 
 def parse_bundle(src: str) -> BundleExpr:
     scanner = _Scanner(src)
-    tree = _parse_expr(scanner)
+    tree = _parse_expr(scanner, 0)
     scanner.skip_ws()
     if scanner.pos != len(scanner.src):
         raise ParseError("trailing input after expression", scanner.pos)
     return tree
 
 
-def _parse_expr(s: _Scanner) -> BundleExpr:
-    terms = [_parse_term(s)]
+def _parse_expr(s: _Scanner, depth: int) -> BundleExpr:
+    terms = [_parse_term(s, depth)]
     while s.try_take("+"):
-        terms.append(_parse_term(s))
+        terms.append(_parse_term(s, depth))
     return terms[0] if len(terms) == 1 else SumExpr(tuple(terms))
 
 
-def _parse_term(s: _Scanner) -> BundleExpr:
+def _parse_term(s: _Scanner, depth: int) -> BundleExpr:
+    """One term; ``depth`` counts the groups it sits in."""
     ch = s.peek()
     if ch == "(":
+        if depth == MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", s.pos)
         s.expect("(")
-        inner = _parse_expr(s)
+        inner = _parse_expr(s, depth + 1)
         s.expect(")")
         if s.try_take("@("):
             t = s.integer()

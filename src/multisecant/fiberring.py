@@ -39,12 +39,20 @@ degree formula that shares no code with the scalar product route.
 
 Stage t of the recursion multiplies by sum_i c_(r-i) H_t^(r-i) N^i with
 N = -sum_(j<t) Delta_(j,t).  That sum is evaluated by Horner's rule in N,
-so the accumulated class is multiplied by N (t+1 terms) and by H_t^m
-(two terms) and never by the expanded factor or a power of N.  The
-secant count needs only the top coefficient of the class times
-L^(n+k-(k+1)r); it runs the stages on that power of L from the start,
-so the L^n = 0 truncation drops every term that can no longer reach the
-top monomial while the class is being built.
+so the accumulated class is multiplied by N and by c H_t^m and never by
+the expanded factor or a power of N.  Every class the recursion builds
+is homogeneous, so the stages carry it as a map from D-mask to
+coefficient plus one degree d: the term of mask S is L^(d-|S|) * D_S.
+Both N and c H_t^m have the form L^(p-1) * (a_L L + sum_i a_i D_i), and
+one kernel multiplies a class by such a form: the term of S keeps its
+mask with coefficient a_L - sum_(i in S) a_i (as D_i^2 = -L * D_i) and
+gains D_i with coefficient a_i for each i not in S.  The secant count
+needs only the top coefficient of the class times L^(n+k-(k+1)r); it
+runs the stages on that power of L from the start, so the L^n = 0
+truncation drops every term that can no longer reach the top monomial
+while the class is being built.  ``__mul__`` stays the general product:
+the closed form is built with it, so each oracle case checks the kernel
+against it.
 
 Integration sends the unique top monomial L^(n-1) * D_1...D_f to 1 and
 every other monomial to 0; the normalization is pinned by the classical
@@ -259,25 +267,77 @@ def integrate(x: FiberRingElement) -> Fraction:
 # -- the secant-degree computation ---------------------------------------
 
 
-def _stages(e: ChernVector, k: int, start: FiberRingElement) -> FiberRingElement:
-    """start * c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``
-    run on ``start``.  Horner's rule in N: y = c_0 acc, then for
-    i = r-1 down to 0, y = y * N + c_(r-i) (acc * H_t^(r-i)).
+def _times_form(out: dict, x: dict, d: int, y: FiberRingElement, p: int) -> None:
+    """out += x * y on mask-keyed homogeneous classes.
+
+    ``x`` maps D-masks S to the coefficients of a class of degree d, so
+    the term of S is L^(d-|S|) * D_S.  ``y`` has degree p and the form
+    L^(p-1) * (a_L L + sum_i a_i D_i).  ``out`` holds degree d + p.  The
+    term of S keeps its mask with coefficient a_L - sum_(i in S) a_i,
+    because D_i^2 = -L * D_i, and gains D_i with coefficient a_i for each
+    i not in S.  A term whose L-exponent reaches n is dropped.
     """
-    r, cs = e.codim, e.c
-    ring = FiberRing(e.ambient_dim, k + 1)
-    acc = start * ring.hyperplane_power(1, r).scale(cs[r])
+    a_l, forms = 0, []
+    for (e, mask), c in y.terms.items():
+        if (e, mask) == (p, 0):
+            a_l = c
+        elif e == p - 1 and mask.bit_count() == 1:
+            forms.append((mask, c))
+        else:
+            raise ValueError(
+                f"L^{e} D-mask {mask} is not a term of L^(p-1) * (a_L L + sum a_i D_i), p = {p}"
+            )
+    # A term of S lands at L^(d+p-|S|) if it keeps S and at one L fewer
+    # if it gains a D_i: both are dropped when |S| < cut, the kept one
+    # also when |S| == cut.
+    cut = d + p - y.ambient_dim
+    get = out.get
+    for s, c in x.items():
+        size = s.bit_count()
+        if size < cut or not c:
+            continue
+        keep = a_l
+        for bit, a in forms:
+            if s & bit:
+                keep -= a
+            else:
+                m = s | bit
+                out[m] = get(m, 0) + c * a
+        if keep and size > cut:
+            out[s] = get(s, 0) + c * keep
+
+
+def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
+    """L^excess * c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``
+    run on L^excess.
+
+    The running class is homogeneous of degree d, so it is carried as a
+    map from D-mask S to the coefficient of L^(d-|S|) * D_S.
+    ``_times_form`` does all the arithmetic, and the class becomes a
+    ``FiberRingElement`` once, at the end.  Horner's rule in N: y = c_0 acc,
+    then for i = r-1 down to 0, y = y * N + acc * c_(r-i) H_t^(r-i), the
+    second product accumulated into y in place.
+    """
+    r, cs, n = e.codim, e.c, e.ambient_dim
+    ring = FiberRing(n, k + 1)
+    start = {0: 1} if excess < n else {}  # L^excess
+    acc: dict[int, Fraction | int] = {}
+    _times_form(acc, start, excess, ring.hyperplane_power(1, r).scale(cs[r]), r)
+    d = excess + r
     for t in range(2, k + 2):
         neg_delta_sum = ring.zero()
         for j in range(1, t):
             neg_delta_sum = neg_delta_sum - ring.diagonal_class(j, t)
-        y = acc.scale(cs[0])
+        y = acc  # c_0 = 1; the first product below leaves acc as it is
         for i in range(r - 1, -1, -1):
-            y = y * neg_delta_sum
+            y_times_n: dict[int, Fraction | int] = {}
+            _times_form(y_times_n, y, d + r - i - 1, neg_delta_sum, 1)
+            y = y_times_n
             if cs[r - i] != 0:
-                y = y + acc * ring.hyperplane_power(t, r - i).scale(cs[r - i])
+                _times_form(y, acc, d, ring.hyperplane_power(t, r - i).scale(cs[r - i]), r - i)
         acc = y
-    return acc
+        d += r
+    return ring._element({(d - s.bit_count(), s): c for s, c in acc.items() if c})
 
 
 def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -291,12 +351,12 @@ def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
 
     with each c_i(E) pulled back through factor t as the scalar c_i times
     H_t^i.  The sum is evaluated by Horner's rule in N, so each stage costs
-    r products with the (t+1)-term class N and at most r with the two-term
-    H_t^m, never a product with the expanded factor.
+    r products with the degree-1 class N and at most r with c_i H_t^i,
+    never a product with the expanded factor; ``_times_form`` does each.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _stages(e, k, FiberRing(e.ambient_dim, k + 1).one())
+    return _stages(e, k, 0)
 
 
 def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -323,12 +383,13 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     Requires the dimension balance n + k >= (k+1)r, i.e. the class must
     fit inside the ring's top degree.
 
-    The stages run on L^excess times the recursion's start instead of
-    multiplying by L^excess at the end.  The ring is commutative and
-    L^n = 0, so the product is the same, but every intermediate term
-    already carries L^excess and the multiply drops each term whose
-    L-exponent reaches n: those can never reach the top monomial.  The
-    late stages shrink to a few terms instead of 2^(k+1) monomials.
+    The stages start from the class L^excess (degree excess, the empty
+    D-mask) instead of multiplying by L^excess at the end.  The ring is
+    commutative and L^n = 0, so the product is the same, but every
+    intermediate term already carries L^excess and the kernel drops each
+    term whose L-exponent d - |S| reaches n: those can never reach the
+    top monomial.  The late stages shrink to a few terms instead of
+    2^(k+1) monomials.
     """
     n = e.ambient_dim
     r = e.codim
@@ -337,5 +398,4 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
         raise HypothesisError(
             f"dimension balance violated: n+k = {n + k} < (k+1)r = {(k + 1) * r}"
         )
-    l_power = FiberRing(n, k + 1).l_class() ** excess
-    return integrate(_stages(e, k, l_power)) / factorial(k + 1)
+    return integrate(_stages(e, k, excess)) / factorial(k + 1)

@@ -152,6 +152,11 @@ class TestExitCodes:
         assert err == f"error: cannot write {out}: No such file or directory\n"
         assert not out.parent.exists()
 
+    def test_negative_trials_is_usage(self, capsys):
+        code, text = run(["verify", "--suite", "cterm", "--trials", "-1"])
+        assert code == 1 and text == ""
+        assert capsys.readouterr().err == "error: trials must be >= 0, got -1\n"
+
     def test_suite_failure_is_exit_three(self, monkeypatch):
         from multisecant import verify as verify_mod
         from multisecant.verify import SuiteReport

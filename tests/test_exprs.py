@@ -16,6 +16,7 @@ from multisecant import (
 )
 from multisecant.cli import run_command
 from multisecant.exprs import (
+    MAX_NESTING,
     AbstractNormalExpr,
     LineBundleExpr,
     SumExpr,
@@ -34,6 +35,9 @@ BAD_LITERALS = {
     "5000-digits": (LONG_LITERAL, 2),
     "5000-digit-negative-twist": ("(T)@(-" + "1" * 5000 + ")", 5),
 }
+
+# far past any recursion limit if every "(" cost a stack frame
+DEEP_NESTING = "(" * 3000
 
 
 class TestParsing:
@@ -95,11 +99,35 @@ class TestParsing:
     @example("O(\u00b2)")
     @example("N{r=1,c=[1,\u0663]}")
     @example(LONG_LITERAL)
+    @example(DEEP_NESTING)
     def test_any_text_parses_or_raises_parse_error(self, src):
         try:
             parse_bundle(src)
         except ParseError as err:
             assert 0 <= err.position <= len(src)
+
+    def test_nesting_at_the_limit_parses(self):
+        src = "(" * MAX_NESTING + "O(1)" + ")" * MAX_NESTING
+        assert parse_bundle(src) == LineBundleExpr(1)
+        twisted = "(" * MAX_NESTING + "T" + ")@(1)" * MAX_NESTING
+        assert elaborate(parse_bundle(twisted), 4) == twist(tangent_bundle(4), MAX_NESTING)
+
+    @pytest.mark.parametrize("pad", ["", " "])
+    def test_nesting_past_the_limit_is_a_parse_error_at_its_paren(self, pad):
+        src = (pad + "(") * (MAX_NESTING + 1) + "O(1)" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}") as err:
+            parse_bundle(src)
+        assert err.value.position == (len(pad) + 1) * (MAX_NESTING + 1) - 1
+        assert src[err.value.position] == "("
+
+
+@pytest.mark.parametrize(
+    "src", [DEEP_NESTING, "(" * (MAX_NESTING + 1) + "T" + ")" * (MAX_NESTING + 1)]
+)
+def test_cli_exits_one_on_deep_nesting(src, capsys):
+    code = run_command(["chern", "--n", "3", src], out=io.StringIO())
+    assert code == 1
+    assert capsys.readouterr().err.startswith("parse error: parentheses nested deeper than ")
 
 
 @pytest.mark.parametrize("case", list(BAD_LITERALS))

@@ -382,6 +382,90 @@ class TestPrunedCount:
             assert all(type(v) is int for v in cls.terms.values())
 
 
+class TestFormKernel:
+    """``_times_form``, the recursion's only arithmetic, against ``__mul__``.
+
+    Classes are random and homogeneous, given as {D-mask: coefficient} with
+    a degree; each is multiplied by N_t = -sum_(j<t) Delta_(j,t) and by
+    c H_t^m for m = 0..n+1.  Elements are rebuilt from the generators, so
+    the comparison does not rely on the kernel's mask encoding.
+    """
+
+    @staticmethod
+    def element(ring, x, d):
+        out = ring.zero()
+        for s, c in x.items():
+            mono = ring.l_class() ** (d - s.bit_count())
+            for i in range(ring.factors):
+                if s >> i & 1:
+                    mono = mono * ring.exceptional(i + 1)
+            out = out + mono.scale(c)
+        return out
+
+    @staticmethod
+    def homogeneous(ring, rng, d):
+        """Coefficients in -9..9, zeros included, on every mask S with
+        0 <= d - |S| < n that the draw keeps."""
+        n, f = ring.ambient_dim, ring.factors
+        return {
+            s: rng.choice([0, rng.randint(-9, 9)])
+            for s in range(1 << f)
+            if 0 <= d - s.bit_count() < n and rng.random() < 0.7
+        }
+
+    def check(self, ring, x, d, y, p, seen):
+        expected = self.element(ring, x, d) * y
+        out = {}
+        fiberring._times_form(out, x, d, y, p)
+        assert self.element(ring, out, d + p) == expected
+        # the rebuilt element would hide an L^n term, as L^n = 0 there
+        assert all(0 <= d + p - s.bit_count() < ring.ambient_dim for s in out)
+        # accumulating into a class of degree d + p adds the product to it
+        z0 = {
+            s: 1 for s in range(1 << ring.factors) if 0 <= d + p - s.bit_count() < ring.ambient_dim
+        }
+        z = dict(z0)
+        fiberring._times_form(z, x, d, y, p)
+        assert self.element(ring, z, d + p) == self.element(ring, z0, d + p) + expected
+        seen["empty factor"] += not y.terms
+        seen["top L-exponent"] += any(
+            c and d - s.bit_count() == ring.ambient_dim - 1 for s, c in x.items()
+        )
+
+    def test_matches_general_product(self):
+        rng = random.Random(11)
+        seen = dict.fromkeys(["mask contains t", "top L-exponent", "empty factor", "c = 0"], 0)
+        for _ in range(120):
+            n, f = rng.randint(1, 8), rng.randint(1, 6)
+            ring = FiberRing(n, f)
+            d = rng.randint(0, n + f - 1)
+            x = self.homogeneous(ring, rng, d)
+            t = rng.randint(1, f)
+            seen["mask contains t"] += any(c and s >> (t - 1) & 1 for s, c in x.items())
+            if t > 1:
+                neg_delta_sum = ring.zero()
+                for j in range(1, t):
+                    neg_delta_sum = neg_delta_sum - ring.diagonal_class(j, t)
+                self.check(ring, x, d, neg_delta_sum, 1, seen)
+            for m in range(n + 2):
+                c = rng.choice([0, rng.randint(-9, 9)])
+                seen["c = 0"] += c == 0
+                self.check(ring, x, d, ring.hyperplane_power(t, m).scale(c), m, seen)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda ring: ring.exceptional(1) * ring.exceptional(2), 2),  # two D's in a term
+            (lambda ring: ring.hyperplane_class(1), 2),  # degree 1, said to be 2
+            (lambda ring: ring.one(), 1),  # L^0 where L^(p-1) * a_L L = L is due
+        ],
+    )
+    def test_rejects_other_forms(self, build, p):
+        with pytest.raises(ValueError, match="is not a term of"):
+            fiberring._times_form({}, {0: 1}, 0, build(FiberRing(5, 3)), p)
+
+
 class TestOracleIndependence:
     """README: the oracle and the scalar product route share no code."""
 
