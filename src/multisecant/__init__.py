@@ -4,115 +4,87 @@ Secant-locus degrees, Chern/Segre class expansions and
 projective-normality criteria for small-codimension subvarieties, with an
 independent symbolic oracle in the cohomology ring of fiber powers of the
 blow-up of P^n at a point.  All arithmetic is exact rational; no floats.
+
+``import multisecant`` loads no submodule: each exported name imports its
+submodule the first time it is read (PEP 562).
 """
 
-from .bundles import (
-    ChernVector,
-    as_chern_vector,
-    complete_intersection_bundle,
-    direct_sum,
-    line_bundle,
-    segre_coefficient,
-    segre_series,
-    tangent_bundle,
-    top_chern_twisted,
-    twist,
-)
-from .classpoly import TruncatedClassPoly
-from .combinat import (
-    binomial,
-    koszul_rank_identity,
-    wedge_resolution_sum_shifted,
-    wedge_resolution_sum_unit,
-)
-from .errors import (
-    AmbientMismatchError,
-    HypothesisError,
-    MultisecantError,
-    NonUnitError,
-    ParseError,
-)
-from .exprs import BundleExpr, elaborate, parse_bundle, print_bundle
-from .fiberring import (
-    FiberRing,
-    FiberRingElement,
-    closed_form_top_chern,
-    integrate,
-    recursion_top_chern,
-    secant_count_via_ring,
-)
-from .normality import (
-    Verdict,
-    check_2normal,
-    check_jnormal_bundle,
-    check_jnormal_general,
-    check_linear_normality_zak,
-    jnormal_min_ambient_dim,
-    ran_min_ambient_dim,
-)
-from .rationals import format_rational
-from .secants import (
-    SecantDegree,
-    double_point_expansion,
-    goettsche_a_derived,
-    goettsche_b_full,
-    goettsche_b_reduced,
-    goettsche_c_full,
-    goettsche_c_reduced,
-    multisecant_report,
-    trisecant_closed,
-    trisecant_double_sum,
-)
+import importlib
+
+_EXPORTS = {
+    "bundles": (
+        "ChernVector",
+        "as_chern_vector",
+        "complete_intersection_bundle",
+        "direct_sum",
+        "line_bundle",
+        "segre_coefficient",
+        "segre_series",
+        "tangent_bundle",
+        "top_chern_twisted",
+        "twist",
+    ),
+    "classpoly": ("TruncatedClassPoly",),
+    "combinat": (
+        "binomial",
+        "koszul_rank_identity",
+        "wedge_resolution_sum_shifted",
+        "wedge_resolution_sum_unit",
+    ),
+    "errors": (
+        "AmbientMismatchError",
+        "HypothesisError",
+        "MultisecantError",
+        "NonUnitError",
+        "ParseError",
+    ),
+    "exprs": ("BundleExpr", "elaborate", "parse_bundle", "print_bundle"),
+    "fiberring": (
+        "FiberRing",
+        "FiberRingElement",
+        "closed_form_top_chern",
+        "integrate",
+        "recursion_top_chern",
+        "secant_count_via_ring",
+    ),
+    "normality": (
+        "Verdict",
+        "check_2normal",
+        "check_jnormal_bundle",
+        "check_jnormal_general",
+        "check_linear_normality_zak",
+        "jnormal_min_ambient_dim",
+        "ran_min_ambient_dim",
+    ),
+    "rationals": ("format_rational",),
+    "secants": (
+        "SecantDegree",
+        "double_point_expansion",
+        "goettsche_a_derived",
+        "goettsche_b_full",
+        "goettsche_b_reduced",
+        "goettsche_c_full",
+        "goettsche_c_reduced",
+        "multisecant_report",
+        "trisecant_closed",
+        "trisecant_double_sum",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientMismatchError",
-    "BundleExpr",
-    "ChernVector",
-    "FiberRing",
-    "FiberRingElement",
-    "HypothesisError",
-    "MultisecantError",
-    "NonUnitError",
-    "ParseError",
-    "SecantDegree",
-    "TruncatedClassPoly",
-    "Verdict",
-    "as_chern_vector",
-    "binomial",
-    "check_2normal",
-    "check_jnormal_bundle",
-    "check_jnormal_general",
-    "check_linear_normality_zak",
-    "closed_form_top_chern",
-    "complete_intersection_bundle",
-    "direct_sum",
-    "double_point_expansion",
-    "elaborate",
-    "format_rational",
-    "goettsche_a_derived",
-    "goettsche_b_full",
-    "goettsche_b_reduced",
-    "goettsche_c_full",
-    "goettsche_c_reduced",
-    "integrate",
-    "jnormal_min_ambient_dim",
-    "koszul_rank_identity",
-    "line_bundle",
-    "multisecant_report",
-    "parse_bundle",
-    "print_bundle",
-    "ran_min_ambient_dim",
-    "recursion_top_chern",
-    "secant_count_via_ring",
-    "segre_coefficient",
-    "segre_series",
-    "tangent_bundle",
-    "top_chern_twisted",
-    "trisecant_closed",
-    "trisecant_double_sum",
-    "twist",
-    "wedge_resolution_sum_shifted",
-    "wedge_resolution_sum_unit",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not cached in globals(): every read goes to the submodule, so a
+    # function replaced there (and later put back) is never seen stale.
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

@@ -19,31 +19,27 @@ Identical argv (and seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
 
-from .bundles import ChernVector, as_chern_vector, segre_coefficient
-from .census import enumerate_rows, render_csv, render_json
 from .errors import MultisecantError, ParseError
-from .exprs import elaborate, parse_bundle
-from .normality import (
-    Verdict,
-    check_2normal,
-    check_jnormal_bundle,
-    check_linear_normality_zak,
-)
-from .rationals import format_rational
-from .secants import multisecant_report, trisecant_closed, trisecant_double_sum
-from .verify import SUITE_NAMES, run_suite
+
+# Each subcommand imports the layers it runs, so that a one-shot call
+# loads only those; building the parser imports none of them.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_SUITE_FAILURE = 3
 
-log = logging.getLogger("multisecant")
+# --n and --j above these exit 2 before any arithmetic: a class on P^n
+# has n+1 coefficients, so --n 3000000000 would exhaust memory.
+MAX_AMBIENT_DIM = 10_000
+MAX_J = 1_000
+
+# verify.SUITE_NAMES, spelled out so that building the parser does not
+# import the suites (tests/test_cli.py checks that the two agree)
+SUITE_NAMES = ("recursion-oracle", "trisecant-identity", "lemma51", "cterm", "bterm-experiment")
 
 
 class _CliExit(Exception):
@@ -67,11 +63,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _elaborated(args) -> ChernVector:
+def _elaborated(args):
+    from .exprs import elaborate, parse_bundle
+
     return elaborate(parse_bundle(args.expr), args.n)
 
 
-def _verdict_lines(verdict: Verdict) -> list[str]:
+def _verdict_lines(verdict) -> list[str]:
     lines = [f"verdict: {verdict.outcome}", f"criterion: {verdict.citation}"]
     for hyp in verdict.hypotheses:
         left, right = hyp.render_sides()
@@ -82,7 +80,7 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
     return lines
 
 
-def verdict_to_record(verdict: Verdict) -> dict:
+def verdict_to_record(verdict) -> dict:
     record = {
         "outcome": verdict.outcome,
         "citation": verdict.citation,
@@ -102,6 +100,14 @@ def verdict_to_record(verdict: Verdict) -> dict:
     return record
 
 
+def _check_limits(args) -> None:
+    for flag, limit in (("n", MAX_AMBIENT_DIM), ("j", MAX_J)):
+        value = getattr(args, flag, None)
+        for v in value if isinstance(value, tuple) else (value,):  # census --n is LO..HI
+            if v is not None and v > limit:
+                raise _CliExit(EXIT_HYPOTHESIS, f"error: --{flag} {v} exceeds the limit {limit}")
+
+
 # -- subcommand implementations -------------------------------------------
 
 
@@ -119,6 +125,9 @@ def _cmd_chern(args, out) -> int:
 
 
 def _cmd_secants(args, out) -> int:
+    from .rationals import format_rational
+    from .secants import multisecant_report
+
     value = _elaborated(args)
     report = multisecant_report(value, args.j)
     factors = ", ".join(format_rational(f) for f in report.factors)
@@ -135,6 +144,10 @@ def _cmd_secants(args, out) -> int:
 
 
 def _cmd_trisecant(args, out) -> int:
+    from .bundles import as_chern_vector
+    from .rationals import format_rational
+    from .secants import trisecant_closed, trisecant_double_sum
+
     cv = as_chern_vector(_elaborated(args))
     closed = trisecant_closed(cv)
     double = trisecant_double_sum(cv)
@@ -148,6 +161,8 @@ def _cmd_trisecant(args, out) -> int:
 
 
 def _cmd_normality(args, out) -> int:
+    from .normality import check_2normal, check_jnormal_bundle, check_linear_normality_zak
+
     value = _elaborated(args)
     if not value.abstract:
         verdict = check_jnormal_bundle(value, args.j)
@@ -162,6 +177,8 @@ def _cmd_normality(args, out) -> int:
             "abstract normal data supports only --j 1 (linear) or --j 2 (quadratic)",
         )
     if args.format == "json":
+        import json
+
         out.write(json.dumps(verdict_to_record(verdict), indent=2, sort_keys=True) + "\n")
     else:
         out.write("\n".join(_verdict_lines(verdict)) + "\n")
@@ -169,12 +186,16 @@ def _cmd_normality(args, out) -> int:
 
 
 def _cmd_segre(args, out) -> int:
+    from .bundles import as_chern_vector, segre_coefficient
+
     cv = as_chern_vector(_elaborated(args))
     out.write(f"sigma_{args.k} = {segre_coefficient(cv, args.k)}\n")
     return EXIT_OK
 
 
 def _cmd_verify(args, out) -> int:
+    from .verify import run_suite
+
     try:
         report = run_suite(args.suite, args.trials, args.seed)
     except ValueError as exc:
@@ -184,6 +205,12 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_census(args, out) -> int:
+    import logging
+
+    from .census import enumerate_rows, render_csv, render_json
+
+    level = os.environ.get("MULTISECANT_LOG", "warning").upper()
+    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     rows = enumerate_rows(args.r, args.degrees, args.n, args.j)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     try:
@@ -191,7 +218,7 @@ def _cmd_census(args, out) -> int:
             fh.write(text)
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
-    log.info("census: %d rows", len(rows))
+    logging.getLogger("multisecant").info("census: %d rows", len(rows))
     out.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_OK
 
@@ -257,10 +284,9 @@ _COMMANDS = {
 def run_command(argv, out=None) -> int:
     """Run one CLI invocation; returns the exit code."""
     out = out if out is not None else sys.stdout
-    level = os.environ.get("MULTISECANT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:
         args = build_parser().parse_args(argv)
+        _check_limits(args)
         return _COMMANDS[args.command](args, out)
     except _CliExit as exc:
         if exc.message:

@@ -227,7 +227,10 @@ class FiberRing:
             raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
         _check_index(i, self.factors)
         _check_index(j, self.factors)
-        return self.exceptional(i) + self.exceptional(j) + self.l_class()
+        terms: dict[Monomial, Fraction | int] = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
+        if self.ambient_dim > 1:  # L = 0 on P^1
+            terms[(1, 0)] = 1
+        return self._element(terms)
 
     def hyperplane_power(self, i: int, exponent: int) -> FiberRingElement:
         """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1."""
@@ -325,9 +328,11 @@ def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
     _times_form(acc, start, excess, ring.hyperplane_power(1, r).scale(cs[r]), r)
     d = excess + r
     for t in range(2, k + 2):
-        neg_delta_sum = ring.zero()
+        neg_delta: dict[Monomial, Fraction | int] = {}
         for j in range(1, t):
-            neg_delta_sum = neg_delta_sum - ring.diagonal_class(j, t)
+            for mono, c in ring.diagonal_class(j, t).terms.items():
+                neg_delta[mono] = neg_delta.get(mono, 0) - c
+        neg_delta_sum = ring._element(neg_delta)
         y = acc  # c_0 = 1; the first product below leaves acc as it is
         for i in range(r - 1, -1, -1):
             y_times_n: dict[int, Fraction | int] = {}

@@ -7,6 +7,8 @@ after verifying any changed values independently.
 
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,3 +173,107 @@ class TestExitCodes:
         code, text = run(["verify", "--suite", "cterm"])
         assert code == 3
         assert "FAIL" in text
+
+
+class TestLimits:
+    # at the limit the command runs; one past it exits 2 before any arithmetic
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chern", "--n", "10000", "O(1)"],
+            ["secants", "--n", "10000", "--j", "1000", "O(1)"],
+            ["normality", "--n", "10000", "--j", "1000", "O(1)"],
+            ["census", "--r", "1", "--degrees", "1..1", "--n", "9999..10000",
+             "--j", "1000", "--out", "c.csv"],
+        ],
+    )
+    def test_at_the_limit_runs(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chern", "--n", "10001", "O(1)"], "--n 10001 exceeds the limit 10000"),
+            (["chern", "--n", "3000000000", "O(1)"], "--n 3000000000 exceeds the limit 10000"),
+            (["secants", "--n", "10001", "--j", "1", "O(1)"], "--n 10001 exceeds the limit 10000"),
+            (["secants", "--n", "4", "--j", "1001", "O(1)"], "--j 1001 exceeds the limit 1000"),
+            (["trisecant", "--n", "10001", "O(1)"], "--n 10001 exceeds the limit 10000"),
+            (["normality", "--n", "10001", "--j", "2", "O(1)"], "--n 10001 exceeds the limit 10000"),
+            (["normality", "--n", "4", "--j", "1001", "O(1)"], "--j 1001 exceeds the limit 1000"),
+            (["segre", "--n", "10001", "--k", "1", "O(1)"], "--n 10001 exceeds the limit 10000"),
+            (["census", "--r", "1", "--degrees", "1..1", "--n", "10001..10002", "--j", "1",
+              "--out", "c.csv"], "--n 10001 exceeds the limit 10000"),
+            (["census", "--r", "1", "--degrees", "1..1", "--n", "2..10001", "--j", "1",
+              "--out", "c.csv"], "--n 10001 exceeds the limit 10000"),
+            (["census", "--r", "1", "--degrees", "1..1", "--n", "2..3", "--j", "1001",
+              "--out", "c.csv"], "--j 1001 exceeds the limit 1000"),
+        ],
+    )
+    def test_past_the_limit_is_computational(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
+
+# Runs one invocation in a fresh interpreter and prints which of the
+# package's modules (and json, logging) it loaded.
+PROBE = """
+import io, sys
+from multisecant.cli import run_command
+if sys.argv[1:]:
+    run_command(sys.argv[1:], out=io.StringIO())
+print(" ".join(sorted(m for m in sys.modules if m.startswith("multisecant.") or m in ("json", "logging"))))
+"""
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CENSUS = ["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "1", "--out", "c.csv"]
+
+
+def _subprocess_env(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "MULTISECANT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def _loaded(argv, cwd):
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], cwd=cwd, env=_subprocess_env(),
+        capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.split())
+
+
+class TestImportGraph:
+    """Each subcommand imports only the layers it runs."""
+
+    def test_bare_import_loads_only_errors(self, tmp_path):
+        assert _loaded([], tmp_path) == {"multisecant.cli", "multisecant.errors"}
+
+    def test_chern(self, tmp_path):
+        loaded = _loaded(["chern", "--n", "4", "O(2)+O(2)"], tmp_path)
+        assert "multisecant.exprs" in loaded
+        unused = {"fiberring", "verify", "census", "normality", "secants"}
+        assert not loaded & ({f"multisecant.{m}" for m in unused} | {"json", "logging"})
+
+    def test_verify(self, tmp_path):
+        loaded = _loaded(["verify", "--suite", "cterm", "--trials", "1"], tmp_path)
+        assert "multisecant.verify" in loaded and "multisecant.census" not in loaded
+
+    def test_census(self, tmp_path):
+        loaded = _loaded(CENSUS, tmp_path)
+        assert "multisecant.census" in loaded
+        assert not loaded & {"multisecant.verify", "multisecant.fiberring"}
+
+    def test_suite_names_match_the_suites(self):
+        from multisecant import cli, verify
+
+        assert cli.SUITE_NAMES == verify.SUITE_NAMES
+
+    def test_census_logs_its_row_count(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "multisecant.cli", *CENSUS], cwd=tmp_path,
+            env=_subprocess_env(MULTISECANT_LOG="info"), capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == "INFO:multisecant:census: 9 rows\n"

@@ -72,6 +72,14 @@ class TestRelations:
         lhs = ring.hyperplane_class(2) - ring.diagonal_class(1, 2)
         assert lhs == -ring.exceptional(1)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagonal_is_the_sum_of_its_generators(self, n):
+        # diagonal_class writes its terms directly; L = 0 when n = 1
+        ring = FiberRing(n, 3)
+        for i, j in itertools.permutations(range(1, 4), 2):
+            expected = ring.exceptional(i) + ring.exceptional(j) + ring.l_class()
+            assert ring.diagonal_class(i, j) == expected
+
     def test_index_bounds(self):
         ring = FiberRing(5, 2)
         with pytest.raises(IndexError):

@@ -141,3 +141,26 @@ class TestNumerology:
         assert check_jnormal_general(n - r, r, j, True).outcome == "holds"
         assert check_jnormal_general(n - 1 - r, r, j, True).outcome == "fails"
 
+
+
+class TestBoundReductions:
+    """The paper's two j-normality bounds, reduced exactly for r < 40, m < 400."""
+
+    GRID = [(r, m) for r in range(1, 40) for m in range(1, 400)]
+
+    @staticmethod
+    def bounds_hold(m, r, j):
+        return check_jnormal_general(m, r, j, True).outcome == "holds"
+
+    def test_j_two_is_the_quadratic_criterion(self):
+        # at j = 2 both bounds together say exactly 6r <= m - 4
+        assert all(self.bounds_hold(m, r, 2) == (6 * r <= m - 4) for r, m in self.GRID)
+
+    def test_j_one_needs_more_than_zak(self):
+        # at j = 1 they say m >= 3r + 2, while Zak's n >= 4r says m >= 3r:
+        # m = 3r and 3r + 1 separate the two for every r
+        for r, m in self.GRID:
+            holds = self.bounds_hold(m, r, 1)
+            zak = check_linear_normality_zak(m + r, r).outcome == "holds"
+            assert holds == (m >= 3 * r + 2)
+            assert zak == (m >= 3 * r)
