@@ -23,16 +23,14 @@ Values are immutable; all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .classpoly import TruncatedClassPoly
 from .combinat import binomial
-from .errors import AmbientMismatchError, HypothesisError
+from .errors import AmbientMismatchError, HypothesisError, Record
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(Record):
     """Chern data c_0..c_r of a rank-r bundle on P^n.
 
     ``codim`` is the rank r: the codimension of X for normal-bundle data.
@@ -40,23 +38,22 @@ class ChernVector:
     split-built bundles.
     """
 
-    ambient_dim: int
-    codim: int
-    c: tuple[int, ...]
-    degree: int
-    abstract: bool
+    __slots__ = ("ambient_dim", "codim", "c", "degree", "abstract")
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, codim: int, c: tuple, degree: int, abstract: bool):
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if self.codim < 1:
+        if codim < 1:
             raise ValueError("codimension must be >= 1")
-        if len(self.c) != self.codim + 1:
-            raise ValueError(
-                f"need c_0..c_{self.codim}, got {len(self.c)} entries"
-            )
-        if self.c[0] != 1:
+        if len(c) != codim + 1:
+            raise ValueError(f"need c_0..c_{codim}, got {len(c)} entries")
+        if c[0] != 1:
             raise ValueError("c_0 must be 1")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "codim", codim)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "abstract", abstract)
 
     @classmethod
     def make(

@@ -24,32 +24,31 @@ values.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .errors import AmbientMismatchError, NonUnitError
+from .errors import AmbientMismatchError, NonUnitError, Record
 from .rationals import format_rational
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class TruncatedClassPoly:
+
+class TruncatedClassPoly(Record):
     """A polynomial in H over Q, truncated to the ambient dimension.
 
     ``coeffs`` always has length ``ambient_dim + 1``; no coefficient beyond
     degree ``ambient_dim`` is ever stored.
     """
 
-    ambient_dim: int
-    coeffs: tuple[int | Fraction, ...]
+    __slots__ = ("ambient_dim", "coeffs")
 
-    def __post_init__(self):
-        if self.ambient_dim < 0:
-            raise ValueError(f"ambient dimension must be >= 0, got {self.ambient_dim}")
-        if len(self.coeffs) != self.ambient_dim + 1:
-            raise ValueError(
-                f"need exactly {self.ambient_dim + 1} coefficients, got {len(self.coeffs)}"
-            )
+    def __init__(self, ambient_dim: int, coeffs: tuple[int | Fraction, ...]):
+        if ambient_dim < 0:
+            raise ValueError(f"ambient dimension must be >= 0, got {ambient_dim}")
+        if len(coeffs) != ambient_dim + 1:
+            raise ValueError(f"need exactly {ambient_dim + 1} coefficients, got {len(coeffs)}")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- construction -------------------------------------------------
 
@@ -88,13 +87,19 @@ class TruncatedClassPoly:
 
         Requires a unit, i.e. nonzero constant term; computed by the usual
         power-series recursion b_k = -(1/a_0) * sum_{i>=1} a_i b_{k-i}.
-        The inverse stays integral when a_0 = +-1.
+        The inverse stays integral when a_0 = +-1; only otherwise is
+        ``fractions`` imported.
         """
         a = self.coeffs
         if a[0] == 0:
             raise NonUnitError("cannot invert: constant term is zero")
         n = self.ambient_dim
-        inv0 = a[0] if a[0] in (1, -1) else Fraction(1, a[0])
+        if a[0] in (1, -1):
+            inv0 = a[0]
+        else:
+            from fractions import Fraction
+
+            inv0 = Fraction(1, a[0])
         b = [0] * (n + 1)
         b[0] = inv0
         for k in range(1, n + 1):

@@ -301,7 +301,15 @@ def run_command(argv, out=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run_command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); point it at devnull so that
+        # the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -42,18 +42,23 @@ def _series_coefficient(p: int, i: int) -> int:
 def koszul_rank_identity(l: int, p: int, t: int) -> tuple[int, int]:
     """Both sides of binom(l, t) = sum_i (-1)^i binom(l+p, t-i) binom(p-1+i, i).
 
-    Returns (lhs, rhs); the sum runs over i = 0..t, where all terms with
-    i beyond the support vanish.
+    Returns (lhs, rhs).  The identity's sum is over i = 0..t, but only
+    i = max(0, t-m)..t with m = l+p is summed: below that binom(m, t-i)
+    vanishes.  When p = 0 the series (1-x)^0 is 1 and only the i = 0
+    term, binom(m, t), remains.
     """
     if l < 0 or p < 0 or t < 0:
         raise ValueError("koszul_rank_identity: arguments must be >= 0")
     m = l + p
-    lhs = binomial(l, t)
-    rhs = sum(
-        (-1) ** i * binomial(m, t - i) * _series_coefficient(p, i)
-        for i in range(t + 1)
-    )
-    return lhs, rhs
+    if p == 0:
+        return math.comb(l, t), math.comb(m, t)
+    low = max(0, t - m)
+    sign = -1 if low % 2 else 1
+    rhs = 0
+    for i in range(low, t + 1):
+        rhs += sign * math.comb(m, t - i) * math.comb(p - 1 + i, i)
+        sign = -sign
+    return math.comb(l, t), rhs
 
 
 def wedge_resolution_sum(n: int, t: int, sym_space_dim: int) -> int:

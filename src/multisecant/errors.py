@@ -1,8 +1,9 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and record base shared by all modules.
 
 Every computational error raised by this package derives from
 :class:`MultisecantError`, so callers (in particular the CLI) can map
 library failures to exit codes without catching bare ``Exception``.
+:class:`Record` is the base of the package's immutable value classes.
 """
 
 
@@ -31,3 +32,49 @@ class ParseError(MultisecantError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class Record:
+    """Base of the package's value classes: a frozen dataclass on ``__slots__``.
+
+    The fields are the subclass's ``__slots__``.  Records are equal when
+    they have the same class and equal fields, hash like their field
+    tuple, print as ``Name(field=value, ...)`` and refuse assignment.
+    It lives here, in the one module every command loads, because
+    ``dataclasses`` costs a one-shot command more than its arithmetic.
+    Classes built in hot loops define a positional ``__init__`` that
+    sets each slot with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = dict(zip(self.__slots__, args), **kwargs)
+        if len(fields) != len(args) + len(kwargs) or fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past the assignment guard
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__

@@ -25,7 +25,6 @@ defaults d to c_r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .bundles import (
@@ -35,7 +34,7 @@ from .bundles import (
     tangent_bundle,
     twist,
 )
-from .errors import ParseError
+from .errors import ParseError, Record
 
 # Deepest "(" nesting the parser accepts.  The parser recurses once per
 # level, so without a limit deep input would exhaust Python's stack.
@@ -44,32 +43,24 @@ MAX_NESTING = 100
 BundleExpr = Union["LineBundleExpr", "TangentExpr", "SumExpr", "TwistExpr", "AbstractNormalExpr"]
 
 
-@dataclass(frozen=True)
-class LineBundleExpr:
-    a: int
+class LineBundleExpr(Record):
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True)
-class TangentExpr:
-    pass
+class TangentExpr(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SumExpr:
-    terms: tuple[BundleExpr, ...]
+class SumExpr(Record):
+    __slots__ = ("terms",)  # tuple[BundleExpr, ...]
 
 
-@dataclass(frozen=True)
-class TwistExpr:
-    sub: BundleExpr
-    t: int
+class TwistExpr(Record):
+    __slots__ = ("sub", "t")
 
 
-@dataclass(frozen=True)
-class AbstractNormalExpr:
-    codim: int
-    c: tuple[int, ...]
-    degree: int | None  # None means "default to c_r"
+class AbstractNormalExpr(Record):
+    __slots__ = ("codim", "c", "degree")  # degree None means "default to c_r"
 
 
 class _Scanner:

@@ -61,13 +61,12 @@ chord count of the degree-4 space curve (see the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping
 
 from .bundles import ChernVector, top_chern_twisted
-from .errors import AmbientMismatchError, HypothesisError
+from .errors import AmbientMismatchError, HypothesisError, Record
 
 # Monomial key: (exponent of L, bitmask of D-generators present).
 Monomial = tuple[int, int]
@@ -78,17 +77,19 @@ def _check_index(i: int, factors: int):
         raise IndexError(f"factor index {i} out of range 1..{factors}")
 
 
-@dataclass(frozen=True, eq=True)
-class FiberRingElement:
+class FiberRingElement(Record):
     """Normal-form element of H*((T/Q)^factors) for P^ambient_dim.
 
     ``terms`` maps monomials to nonzero exact coefficients.  Instances are
     immutable (but unhashable: the term map is a dict).
     """
 
-    ambient_dim: int
-    factors: int
-    terms: Mapping[Monomial, Fraction | int]
+    __slots__ = ("ambient_dim", "factors", "terms")
+
+    def __init__(self, ambient_dim: int, factors: int, terms: Mapping[Monomial, Fraction | int]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "terms", terms)
 
     def _check_compat(self, other: "FiberRingElement"):
         if (self.ambient_dim, self.factors) != (other.ambient_dim, other.factors):

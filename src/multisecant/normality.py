@@ -10,11 +10,10 @@ secant locus) is not established and the criterion is silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bundles import ChernVector, top_chern_twisted
-from .errors import HypothesisError
+from .errors import HypothesisError, Record
 from .rationals import format_rational
 
 HOLDS = "holds"
@@ -22,13 +21,15 @@ FAILS = "fails"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    name: str
-    condition: str
-    left: int | bool
-    right: int | bool
-    satisfied: bool
+class Hypothesis(Record):
+    __slots__ = ("name", "condition", "left", "right", "satisfied")
+
+    def __init__(self, name: str, condition: str, left: int, right: int, satisfied: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "satisfied", satisfied)
 
     def render_sides(self) -> tuple[str, str]:
         def side(v) -> str:
@@ -39,12 +40,14 @@ class Hypothesis:
         return side(self.left), side(self.right)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    hypotheses: tuple[Hypothesis, ...]
-    citation: str
-    notes: tuple[str, ...] = ()
+class Verdict(Record):
+    __slots__ = ("outcome", "hypotheses", "citation", "notes")
+
+    def __init__(self, outcome: str, hypotheses: tuple, citation: str, notes: tuple = ()):
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "hypotheses", hypotheses)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "notes", notes)
 
 
 def _ineq(name: str, condition: str, left, right) -> Hypothesis:

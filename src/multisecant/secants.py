@@ -21,15 +21,14 @@ status is reported, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundles import ChernVector, _segre_unchecked, top_chern_twisted
 from .combinat import binomial
+from .errors import Record
 
 
-@dataclass(frozen=True)
-class SecantDegree:
+class SecantDegree(Record):
     """A secant degree plus the caveats that travel with it.
 
     ``possibly_degenerate`` marks a vanishing class: when the secant locus
@@ -39,10 +38,13 @@ class SecantDegree:
     improper-dimension input.
     """
 
-    value: Fraction
-    factors: tuple[int, ...]
-    possibly_degenerate: bool
-    integral: bool
+    __slots__ = ("value", "factors", "possibly_degenerate", "integral")
+
+    def __init__(self, value: Fraction, factors: tuple, possibly_degenerate: bool, integral: bool):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "possibly_degenerate", possibly_degenerate)
+        object.__setattr__(self, "integral", integral)
 
 
 def multisecant_report(e: ChernVector, j: int) -> SecantDegree:

@@ -20,7 +20,6 @@ rather than by asserting equality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .bundles import ChernVector
@@ -29,6 +28,7 @@ from .combinat import (
     wedge_resolution_sum_shifted,
     wedge_resolution_sum_unit,
 )
+from .errors import Record
 from .fiberring import closed_form_top_chern, recursion_top_chern
 from .rationals import format_rational
 from .secants import (
@@ -41,11 +41,19 @@ from .secants import (
 )
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
+class SuiteReport(Record):
+    """A suite's verdict and output lines; the one record that a suite
+    fills in as it runs, so it allows assignment and is unhashable."""
+
+    __slots__ = ("name", "passed", "lines")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, lines: list[str] | None = None):
+        self.name = name
+        self.passed = passed
+        self.lines = [] if lines is None else lines
 
     def add(self, line: str):
         self.lines.append(line)

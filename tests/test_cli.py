@@ -218,13 +218,19 @@ class TestLimits:
 
 
 # Runs one invocation in a fresh interpreter and prints which of the
-# package's modules (and json, logging) it loaded.
+# package's modules, and of the watched standard modules, it loaded.  A
+# module the bare interpreter already holds (this environment's site
+# loads typing, re and pathlib) is not the package's doing and is left out.
 PROBE = """
 import io, sys
+bare = set(sys.modules)
 from multisecant.cli import run_command
 if sys.argv[1:]:
     run_command(sys.argv[1:], out=io.StringIO())
-print(" ".join(sorted(m for m in sys.modules if m.startswith("multisecant.") or m in ("json", "logging"))))
+watched = ("json", "logging", "dataclasses", "inspect", "ast", "fractions", "decimal")
+print(" ".join(sorted(
+    m for m in set(sys.modules) - bare if m.startswith("multisecant.") or m in watched
+)))
 """
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CENSUS = ["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "1", "--out", "c.csv"]
@@ -260,6 +266,34 @@ class TestImportGraph:
         loaded = _loaded(["verify", "--suite", "cterm", "--trials", "1"], tmp_path)
         assert "multisecant.verify" in loaded and "multisecant.census" not in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chern", "--n", "4", "O(2)+O(2)"],
+            ["segre", "--n", "4", "--k", "2", "O(2)+O(2)"],
+            ["normality", "--n", "8", "--j", "2", "N{r=2,c=[1,4,4]}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_integral_commands_load_no_dataclasses_or_fractions(self, argv, tmp_path):
+        # their arithmetic never divides, and records are slot classes
+        heavy = {"dataclasses", "inspect", "ast", "fractions", "decimal"}
+        assert not _loaded(argv, tmp_path) & heavy
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["secants", "--n", "4", "--j", "1", "O(2)+O(2)"],
+            ["trisecant", "--n", "4", "O(2)+O(2)"],
+            ["verify", "--suite", "lemma51"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_dividing_commands_load_fractions_but_no_dataclasses(self, argv, tmp_path):
+        loaded = _loaded(argv, tmp_path)
+        assert "fractions" in loaded  # the probe sees what a command loads
+        assert not loaded & {"dataclasses", "inspect"}
+
     def test_census(self, tmp_path):
         loaded = _loaded(CENSUS, tmp_path)
         assert "multisecant.census" in loaded
@@ -286,3 +320,19 @@ class TestImportGraph:
         )
         assert result.returncode == 0
         assert result.stderr == "INFO:multisecant:census: 9 rows\n"
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the read end is closed before the child starts, so its first flush
+    # fails with EPIPE whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "multisecant.cli", "chern", "--n", "4", "O(2)+O(2)"],
+            cwd=tmp_path, env=_subprocess_env(), stdout=write_end, stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")

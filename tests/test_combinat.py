@@ -72,10 +72,31 @@ class TestKoszulRankIdentity:
     def test_t_zero(self):
         assert koszul_rank_identity(7, 4, 0) == (1, 1)
 
-    @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 30))
+    @staticmethod
+    def definitional_sum(l, p, t):
+        # the identity as written: every i = 0..t, each factor through binomial
+        series = [binomial(p - 1 + i, i) if p else int(i == 0) for i in range(t + 1)]
+        rhs = sum((-1) ** i * binomial(l + p, t - i) * series[i] for i in range(t + 1))
+        return binomial(l, t), rhs
+
+    @pytest.mark.parametrize(
+        "l, p, t",
+        # t > l+p (the kernel starts past i = 0), p = 0 (only i = 0), both
+        [(2, 1, 7), (0, 3, 5), (4, 4, 40), (0, 1, 1), (5, 0, 3), (5, 0, 9), (0, 0, 0), (0, 0, 4)],
+    )
+    def test_edge_cases_match_the_definitional_sum(self, l, p, t):
+        assert koszul_rank_identity(l, p, t) == self.definitional_sum(l, p, t)
+
+    @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 60))
     def test_identity_holds(self, l, p, t):
         lhs, rhs = koszul_rank_identity(l, p, t)
+        assert (lhs, rhs) == self.definitional_sum(l, p, t)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("l, p, t", [(-1, 2, 1), (2, -1, 1), (2, 1, -1)])
+    def test_negative_arguments_rejected(self, l, p, t):
+        with pytest.raises(ValueError):
+            koszul_rank_identity(l, p, t)
 
 
 class TestAlternatingSums:
