@@ -23,6 +23,7 @@ Values are immutable; all functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .classpoly import TruncatedClassPoly
@@ -199,12 +200,19 @@ def as_chern_vector(e: ChernVector) -> ChernVector:
 # -- Segre classes --------------------------------------------------------
 
 
-def _segre_unchecked(cv: ChernVector, k: int) -> int:
-    n = cv.ambient_dim
-    return sum(
-        (-1) ** (k - i) * binomial(n + k - i, k - i) * cv.c[i]
-        for i in range(min(k, cv.codim) + 1)
-    )
+def segre_prefix(cv: ChernVector, top: int) -> list[int]:
+    """sigma_0..sigma_top of (1+H)^(-(n+1)) * c(N), not truncated at n.
+
+    sigma_k = sum_i a_(k-i) c_i, where a_k = (-1)^k binom(n+k, k) are the
+    coefficients of (1+H)^(-(n+1)), from the exact recurrence
+    a_(k+1) = -a_k (n+1+k) / (k+1).
+    """
+    n, c = cv.ambient_dim, cv.c
+    a = [1]
+    for k in range(top):
+        a.append(-a[k] * (n + 1 + k) // (k + 1))
+    # a[k::-1] pairs a_(k-i) with c_i; map stops at i = min(k, r)
+    return [sum(map(operator.mul, a[k::-1], c)) for k in range(top + 1)]
 
 
 def segre_coefficient(cv: ChernVector, k: int) -> int:
@@ -216,7 +224,7 @@ def segre_coefficient(cv: ChernVector, k: int) -> int:
     """
     if not 0 <= k <= cv.ambient_dim:
         raise IndexError(f"Segre index {k} out of range for P^{cv.ambient_dim}")
-    return _segre_unchecked(cv, k)
+    return segre_prefix(cv, k)[k]
 
 
 def segre_series(cv: ChernVector) -> TruncatedClassPoly:

@@ -17,6 +17,7 @@ machine-checkable rather than folklore.
 from __future__ import annotations
 
 import math
+import operator
 
 
 def binomial(a: int, b: int) -> int:
@@ -32,41 +33,69 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _series_coefficient(p: int, i: int) -> int:
-    # coefficient of x^i in (1-x)^(-p); for p = 0 the series is 1
-    if p == 0:
-        return 1 if i == 0 else 0
-    return binomial(p - 1 + i, i)
+# Tables for _alternating_dot, filled on demand and bounded by
+# _TABLE_LIMIT: row m of Pascal's triangle, and the coefficients
+# (-1)^i binom(p-1+i, i) of (1+x)^(-p) for i = 0..t.  The limit covers the
+# lemma51 grids (m, p, t <= 41); larger arguments are computed per call
+# and not stored.
+_TABLE_LIMIT = 64
+_rows: dict[int, list[int]] = {}
+_series: dict[int, list[int]] = {}
+
+
+def _binomial_row(m: int, top: int) -> list[int]:
+    """binom(m, k) for k = 0..top at least."""
+    if m > _TABLE_LIMIT:
+        return [math.comb(m, k) for k in range(top + 1)]
+    row = _rows.get(m)
+    if row is None:
+        row = _rows[m] = [math.comb(m, k) for k in range(m + 1)]
+    return row
+
+
+def _signed_series(p: int, t: int) -> list[int]:
+    """(-1)^i binom(p-1+i, i) for i = 0..t at least, by the exact recurrence
+    s_(i+1) = -s_i (p+i) / (i+1); for p = 0 it is 1, 0, 0, ..."""
+    if p > _TABLE_LIMIT or t > _TABLE_LIMIT:
+        s = [1]
+    else:
+        s = _series.setdefault(p, [1])
+    for i in range(len(s) - 1, t):
+        s.append(-s[i] * (p + i) // (i + 1))
+    return s
+
+
+def _alternating_dot(m: int, p: int, t: int) -> int:
+    """sum_{i=0}^{t} (-1)^i binom(m, t-i) binom(p-1+i, i) for m, p, t >= 0,
+    with binom(p-1+i, i) read as [i = 0] when p = 0.
+
+    Only the terms i = max(0, t-m)..t are summed: below that binom(m, t-i)
+    vanishes.  They form one dot product of binom(m, t-i), read backwards
+    from a Pascal row, with (-1)^i binom(p-1+i, i), the coefficients of
+    (1+x)^(-p).
+    """
+    top = min(t, m)
+    row = _binomial_row(m, top)
+    series = _signed_series(p, t)
+    return sum(map(operator.mul, row[top::-1], series[t - top : t + 1]))
 
 
 def koszul_rank_identity(l: int, p: int, t: int) -> tuple[int, int]:
     """Both sides of binom(l, t) = sum_i (-1)^i binom(l+p, t-i) binom(p-1+i, i).
 
-    Returns (lhs, rhs).  The identity's sum is over i = 0..t, but only
-    i = max(0, t-m)..t with m = l+p is summed: below that binom(m, t-i)
-    vanishes.  When p = 0 the series (1-x)^0 is 1 and only the i = 0
-    term, binom(m, t), remains.
+    Returns (lhs, rhs).  When p = 0 the series (1-x)^0 is 1 and only the
+    i = 0 term, binom(l, t), remains.
     """
     if l < 0 or p < 0 or t < 0:
         raise ValueError("koszul_rank_identity: arguments must be >= 0")
-    m = l + p
-    if p == 0:
-        return math.comb(l, t), math.comb(m, t)
-    low = max(0, t - m)
-    sign = -1 if low % 2 else 1
-    rhs = 0
-    for i in range(low, t + 1):
-        rhs += sign * math.comb(m, t - i) * math.comb(p - 1 + i, i)
-        sign = -sign
-    return math.comb(l, t), rhs
+    return math.comb(l, t), _alternating_dot(l + p, p, t)
 
 
 def wedge_resolution_sum(n: int, t: int, sym_space_dim: int) -> int:
     """sum_{i=0}^{t} (-1)^i binom(n, t-i) * dim S^i(C^sym_space_dim)."""
-    return sum(
-        (-1) ** i * binomial(n, t - i) * _series_coefficient(sym_space_dim, i)
-        for i in range(t + 1)
-    )
+    if n < 0 or t < 0 or sym_space_dim < 0:
+        raise ValueError("wedge_resolution_sum: arguments must be >= 0")
+    return _alternating_dot(n, sym_space_dim, t)
 
 
 def wedge_resolution_sum_unit(n: int, t: int) -> int:

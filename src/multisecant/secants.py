@@ -15,7 +15,8 @@ The goettsche_* functions keep a printed pair of expansions for the (b)
 and (c) terms of the trisecant count alongside their reduced closed
 forms.  The reduced (c) form agrees with the full sum identically; the
 (b) pair is kept as a transcription experiment whose match/mismatch
-status is reported, never assumed.
+status is reported, never assumed; goettsche_b_full's docstring proves
+that their gap is the t = n cell the printed sum drops.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bundles import ChernVector, _segre_unchecked, top_chern_twisted
-from .combinat import binomial
+from .bundles import ChernVector, segre_prefix, top_chern_twisted
 from .errors import Record
 
 
@@ -80,7 +80,7 @@ def double_point_expansion(cv: ChernVector) -> int:
 
 def trisecant_closed(cv: ChernVector) -> Fraction:
     """(1/2) * c_r(N(-1)) * c_r(N(-2)): trisecants through an external point."""
-    return Fraction(1, 2) * top_chern_twisted(cv, -1) * top_chern_twisted(cv, -2)
+    return Fraction(top_chern_twisted(cv, -1) * top_chern_twisted(cv, -2), 2)
 
 
 def trisecant_double_sum(cv: ChernVector) -> Fraction:
@@ -111,22 +111,27 @@ def goettsche_b_full(cv: ChernVector) -> int:
     is the plain coefficient sum.  Terms with j < 0 vanish (no negative
     Segre classes).  This is evaluated verbatim for comparison against the
     reduced form; the two are not assumed equal.
+
+    The printed t-range stops at n-1 and so drops the t = n cells.  There
+    binom(n,n) = 1 and binom(n+1,k-n) is nonzero only for k >= n, while
+    k <= 2r-2.  For n >= 2r-1 no such k exists, so nothing is dropped.
+    For n = 2r-2 only k = n remains: binom(n+1,0) = 1, and j runs from
+    max(r-n-1, 0) = 0 to 2r-2-k = 0, so the one dropped cell is
+    2^(0+n-r+1) sigma_0^2 = 2^(r-1).  That is exactly the gap
+    goettsche_b_reduced - goettsche_b_full at n = 2r-2, and the gap is 0
+    for n >= 2r-1 (tests/test_secants.py::TestGoettscheTerms
+    ::test_b_gap_is_the_dropped_t_equals_n_cell).
     """
     n, r = cv.ambient_dim, cv.codim
+    sigma = segre_prefix(cv, 2 * r - 2)
     total = 0
     for k in range(2 * r - 1):
-        for t in range(n):
-            outer = binomial(n, t) * binomial(n + 1, k - t)
-            if outer == 0:
-                continue
+        # binom(n+1, k-t) vanishes unless 0 <= k-t <= n+1
+        for t in range(max(k - n - 1, 0), min(k + 1, n)):
+            outer = math.comb(n, t) * math.comb(n + 1, k - t)
             for j in range(max(r - t - 1, 0), 2 * r - 2 - k + 1):
                 # j >= r-t-1 keeps the power of two nonnegative
-                total += (
-                    outer
-                    * 2 ** (j + t - r + 1)
-                    * _segre_unchecked(cv, j)
-                    * _segre_unchecked(cv, 2 * r - 2 - k - j)
-                )
+                total += outer * 2 ** (j + t - r + 1) * sigma[j] * sigma[2 * r - 2 - k - j]
     return total
 
 
@@ -155,10 +160,8 @@ def goettsche_c_full(cv: ChernVector) -> int:
         raise IndexError(
             f"(c)-term needs Segre classes up to degree {2 * r - 2} > n = {n}"
         )
-    return cv.degree * sum(
-        binomial(n + r, k) * _segre_unchecked(cv, 2 * r - 2 - k)
-        for k in range(2 * r - 1)
-    )
+    sigma = segre_prefix(cv, 2 * r - 2)
+    return cv.degree * sum(math.comb(n + r, k) * sigma[2 * r - 2 - k] for k in range(2 * r - 1))
 
 
 def goettsche_c_reduced(cv: ChernVector) -> int:

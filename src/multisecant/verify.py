@@ -12,9 +12,10 @@ three exhaustive grids of ``lemma51``.  A suite supplies only its sample
 line and how one case is drawn and checked.
 
 ``bterm-experiment`` is different in kind: it compares the raw and
-reduced forms of the trisecant (b) term, whose agreement is under
-investigation, and passes by producing a complete match/mismatch report
-rather than by asserting equality.
+reduced forms of the trisecant (b) term, which differ by the raw sum's
+dropped t = n cell at n = 2r-2 (see ``secants.goettsche_b_full``), and
+passes by producing a complete match/mismatch report rather than by
+asserting equality.
 """
 
 from __future__ import annotations

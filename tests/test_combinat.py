@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from multisecant import (
     binomial,
+    combinat,
     koszul_rank_identity,
     wedge_resolution_sum_shifted,
     wedge_resolution_sum_unit,
@@ -92,6 +93,30 @@ class TestKoszulRankIdentity:
         lhs, rhs = koszul_rank_identity(l, p, t)
         assert (lhs, rhs) == self.definitional_sum(l, p, t)
         assert lhs == rhs
+
+    @given(st.integers(0, 80).flatmap(lambda m: st.tuples(st.integers(0, m), st.just(m))),
+           st.integers(0, 80))
+    def test_outside_the_lemma51_grid(self, lm, t):
+        # m = l+p and t up to 80, across the kernel's table limit
+        l, m = lm
+        assert koszul_rank_identity(l, m - l, t) == self.definitional_sum(l, m - l, t)
+
+    @pytest.mark.parametrize(
+        "l, p, t",
+        # t > m, p = 0, and m, p or t past the table limit
+        [(3, 2, 80), (80, 0, 80), (0, 80, 80), (40, 40, 80), (70, 0, 5), (0, 0, 80), (1, 79, 3)],
+    )
+    def test_large_cases_match_the_definitional_sum(self, l, p, t):
+        assert koszul_rank_identity(l, p, t) == self.definitional_sum(l, p, t)
+
+    def test_tables_grow_for_a_larger_t(self, monkeypatch):
+        # start from empty tables: a short series for each p, then longer
+        # ones, then past the table limit, then a short one again
+        monkeypatch.setattr(combinat, "_rows", {})
+        monkeypatch.setattr(combinat, "_series", {})
+        for t in (2, 9, 40, 64, 65, 80, 3):
+            for l, p in [(0, 0), (5, 1), (3, 7), (10, 20), (30, 34)]:
+                assert koszul_rank_identity(l, p, t) == self.definitional_sum(l, p, t)
 
     @pytest.mark.parametrize("l, p, t", [(-1, 2, 1), (2, -1, 1), (2, 1, -1)])
     def test_negative_arguments_rejected(self, l, p, t):

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from multisecant import (
     ChernVector,
+    binomial,
     complete_intersection_bundle,
     double_point_expansion,
     goettsche_a_derived,
@@ -30,6 +32,42 @@ def chern_vectors(min_codim=1, max_codim=6, bound=9, min_n=None, max_n=30):
         ).map(lambda t: ChernVector.make(t[0], [1] + t[1]))
 
     return st.integers(min_codim, max_codim).flatmap(build)
+
+
+# Per-cell copies of goettsche_b_full and goettsche_c_full as first written,
+# each Segre class by its own finite sum: the oracle of the table-driven sums.
+def per_cell_segre(cv, k):
+    n = cv.ambient_dim
+    return sum(
+        (-1) ** (k - i) * binomial(n + k - i, k - i) * cv.c[i]
+        for i in range(min(k, cv.codim) + 1)
+    )
+
+
+def per_cell_b_full(cv):
+    n, r = cv.ambient_dim, cv.codim
+    total = 0
+    for k in range(2 * r - 1):
+        for t in range(n):
+            outer = binomial(n, t) * binomial(n + 1, k - t)
+            if outer == 0:
+                continue
+            for j in range(max(r - t - 1, 0), 2 * r - 2 - k + 1):
+                total += (
+                    outer
+                    * 2 ** (j + t - r + 1)
+                    * per_cell_segre(cv, j)
+                    * per_cell_segre(cv, 2 * r - 2 - k - j)
+                )
+    return total
+
+
+def per_cell_c_full(cv):
+    n, r = cv.ambient_dim, cv.codim
+    return cv.degree * sum(
+        binomial(n + r, k) * per_cell_segre(cv, 2 * r - 2 - k)
+        for k in range(2 * r - 1)
+    )
 
 
 class TestMultisecant:
@@ -168,6 +206,31 @@ class TestGoettscheTerms:
         )
         expected = m_slice - cv.c[r - 1] * cv.c[r]
         assert trisecant_double_sum(cv) - goettsche_b_reduced(cv) == expected
+
+    @given(chern_vectors(max_codim=6, bound=9, min_n=1, max_n=14))
+    def test_full_forms_equal_their_per_cell_formulas(self, cv):
+        # n < 2r-2 included: the (b) sum reads Segre classes past n there
+        assert goettsche_b_full(cv) == per_cell_b_full(cv)
+        if 2 * cv.codim - 2 <= cv.ambient_dim:
+            assert goettsche_c_full(cv) == per_cell_c_full(cv)
+        else:
+            with pytest.raises(IndexError):
+                goettsche_c_full(cv)
+
+    @given(st.integers(2, 6).flatmap(
+        lambda r: st.tuples(
+            st.integers(0, 5).map(lambda extra: 2 * r - 2 + extra),
+            st.lists(st.integers(-9, 9), min_size=r, max_size=r),
+        )
+    ))
+    def test_b_gap_is_the_dropped_t_equals_n_cell(self, case):
+        # reduced - full is the dropped t = n cell, 2^(r-1), at n = 2r-2,
+        # and 0 for n >= 2r-1; the printed form is not made to hold
+        n, tail = case
+        cv = ChernVector.make(n, [1] + tail)
+        r = cv.codim
+        gap = goettsche_b_reduced(cv) - goettsche_b_full(cv)
+        assert gap == (2 ** (r - 1) if n == 2 * r - 2 else 0)
 
     def test_a_derived_bookkeeping(self):
         cv = ChernVector.make(4, [1, 4, 4])

@@ -5,11 +5,13 @@ code 0, so a change to a header or ``sample:`` line shows.  Each failure
 case breaks one side of a suite's identity inside ``multisecant.verify``
 and pins what ``verify`` prints through ``run_command``: the ``[FAIL]``
 lines with their replayable inputs, the failure count, the ``suite X: FAIL``
-line and exit code 3.  The last test keeps the benchmark's suite list in
-step with the suite table.
+line and exit code 3.  ``DIGESTS`` pins the sha256 of each suite's stdout
+at its default trials on seeds 0 and 1.  The benchmark test keeps its
+suite list in step with the suite table.
 """
 
 import ast
+import hashlib
 import io
 from pathlib import Path
 
@@ -260,3 +262,30 @@ def test_benchmark_names_every_suite():
     table = next(node for node in ast.walk(suite_calls) if isinstance(node, ast.Dict))
     counted = {ast.literal_eval(key) for key in table.keys}
     assert set(suites) == counted == set(verify._RUNNERS)
+
+
+DIGESTS = {
+    # sha256 of the full stdout of `verify --suite S --seed K` at the default trials
+    ("recursion-oracle", 0): "dc7f09f9b43fab03f01aae5ec60073ba6f512c9eb77898cc6444078b8bdc965f",
+    ("recursion-oracle", 1): "6547ef035aede637817ad85bdbcb72086b46b9b907f3e05d5f28f5d0b8c37d04",
+    ("trisecant-identity", 0): "8481bbaefdcead63639425954a5928a76759623de510b8db8ad00754d3267077",
+    ("trisecant-identity", 1): "3db78c645989110b5fc7e5ecf98109383df19805153b73059525f7e044bf0090",
+    ("lemma51", 0): "677aad7247b6e939b08c6e5fc1a04a81861c37221e7ff0f321526727aee962cd",
+    ("lemma51", 1): "677aad7247b6e939b08c6e5fc1a04a81861c37221e7ff0f321526727aee962cd",
+    ("cterm", 0): "3ace3ee411415d02526b99f88ce737a6888aa0e3b183abbf081492a5e79117c8",
+    ("cterm", 1): "163838832268ce15184826663e26b220398a35b1d0a496e9a51f14cd345602ce",
+    ("bterm-experiment", 0): "31ece43a1c570b8936903946958e385bd97771c4e01c369c673e0ea401070011",
+    ("bterm-experiment", 1): "a0f18c8c506af4dffd332bd8511436ff6c4078263b289e24d305afc937c31cc3",
+}
+
+
+@pytest.mark.parametrize("suite, seed", list(DIGESTS), ids=lambda v: str(v))
+def test_default_trials_output_digest(suite, seed):
+    out = io.StringIO()
+    code = run_command(["verify", "--suite", suite, "--seed", str(seed)], out=out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[suite, seed]
+    assert code == 0
+
+
+def test_digests_cover_every_suite():
+    assert {suite for suite, _ in DIGESTS} == set(verify.SUITE_NAMES)
