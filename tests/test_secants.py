@@ -217,18 +217,11 @@ class TestGoettscheTerms:
             with pytest.raises(IndexError):
                 goettsche_c_full(cv)
 
-    @given(st.integers(2, 6).flatmap(
-        lambda r: st.tuples(
-            st.integers(0, 5).map(lambda extra: 2 * r - 2 + extra),
-            st.lists(st.integers(-9, 9), min_size=r, max_size=r),
-        )
-    ))
-    def test_b_gap_is_the_dropped_t_equals_n_cell(self, case):
+    @given(chern_vectors(min_codim=2, max_codim=6, max_n=15))
+    def test_b_gap_is_the_dropped_t_equals_n_cell(self, cv):
         # reduced - full is the dropped t = n cell, 2^(r-1), at n = 2r-2,
         # and 0 for n >= 2r-1; the printed form is not made to hold
-        n, tail = case
-        cv = ChernVector.make(n, [1] + tail)
-        r = cv.codim
+        n, r = cv.ambient_dim, cv.codim
         gap = goettsche_b_reduced(cv) - goettsche_b_full(cv)
         assert gap == (2 ** (r - 1) if n == 2 * r - 2 else 0)
 
