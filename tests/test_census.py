@@ -1,6 +1,8 @@
 """Census generation, serialization round-trips, schema validation."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
 import random
@@ -266,3 +268,81 @@ def test_rows_with_inputs_that_only_equal_ints_are_not_shared(field, value):
     with pytest.raises(TypeError) as swept:
         verify_rows([good, odd])
     assert str(swept.value) == str(fresh.value)
+
+
+# -- pinned output and row semantics ----------------------------------------------
+
+# The benchmark's three census sweeps at their first degree windows: the
+# ROADMAP grid, the long-polynomial sweep and the codimension-3 sweep.
+_PINNED_SWEEPS = {
+    (2, (1, 20), (3, 60), 2): (
+        12180,
+        "7658cd4ba65b23e527752ed7f7cc6deca11f57ce729eb686eb009a7b29fe4ae5",
+        "8364c3233c9a34f7af78e8a5d4c7ee215880d7448dc7b5e261e16ca514b2ec08",
+    ),
+    (1, (1, 10), (4, 201), 6): (
+        1980,
+        "8df56d799504443441f173f7059c8a0048e4994a6abe2575ba1ce9f9438b497d",
+        "d1ea30223e168c1c5a584b252248414592f0309ba11d16bbb8c1b14392255189",
+    ),
+    (3, (1, 6), (4, 40), 1): (
+        2072,
+        "34a2fb39066155147d2b9c354676e6f0bdb2069abd50759eab50cca86b1dfc4b",
+        "8ed12a13aa6bbd7f676b60d6228720f144e3bece54cf0b7903a29dc0ee04de04",
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", list(_PINNED_SWEEPS), ids=str)
+def test_benchmark_sweeps_render_the_pinned_bytes(sweep):
+    count, csv_digest, json_digest = _PINNED_SWEEPS[sweep]
+    rows = enumerate_rows(*sweep)
+    assert len(rows) == count
+    assert hashlib.sha256(render_csv(rows).encode()).hexdigest() == csv_digest
+    assert hashlib.sha256(render_json(rows).encode()).hexdigest() == json_digest
+
+
+def test_tampered_row_problem_is_pinned():
+    rows = enumerate_rows(2, (2, 4), (3, 6), 1)
+    last = rows[-1]
+    fields = {name: getattr(last, name) for name in CSV_HEADER}
+    tampered = rows[:-1] + [CensusRow(**{**fields, "secant_degree": "7"})]
+    shared = (
+        "n=6, r=2, degrees=(4, 4), j=1, degree='16', chern='1;8;16', "
+        "twisted_top_cherns='16;9', secant_degree='%s', jnormal='fails', "
+        "zak='inapplicable', integrality_warning='false', d_consistent='true'"
+    )
+    assert verify_rows(tampered) == [
+        f"row 23: stored CensusRow({shared % 7}) != recomputed CensusRow({shared % 72})"
+    ]
+
+
+def test_row_is_a_value(rows):
+    row = rows[0]
+    fields = tuple(getattr(row, name) for name in CSV_HEADER)
+    assert row == CensusRow(*fields) and row is not CensusRow(*fields)
+    assert hash(row) == hash(fields)
+    with pytest.raises(AttributeError):
+        row.secant_degree = "3"
+    assert row.secant_degree == "2"
+    assert parse_csv(render_csv(rows)) == rows
+    assert parse_json(render_json(rows)) == rows
+
+
+@pytest.mark.parametrize(
+    "r, degree_range, ambient_range, j",
+    [(2, (-1, 3), (3, 8), 2), (1, (-2, 4), (2, 12), 3), (3, (0, 2), (4, 6), 1)],
+)
+def test_sweep_caches_one_entry_per_distinct_input(r, degree_range, ambient_range, j):
+    sweep = _Sweep()
+    tuples = list(itertools.combinations_with_replacement(range(degree_range[0], degree_range[1] + 1), r))
+    inputs = [(n, degrees) for n in range(ambient_range[0], ambient_range[1] + 1) for degrees in tuples]
+    for n, degrees in inputs:
+        sweep.row(n, degrees, j)
+    # the indices i = 1..j at which c_r(E(-i)) = prod_k (d_k - i) vanishes
+    zeros = {
+        degrees: tuple(i for i in range(1, j + 1) if math.prod(d - i for d in degrees) == 0)
+        for degrees in tuples
+    }
+    assert len(sweep.values) == len({(degrees, j) for _, degrees in inputs})
+    assert len(sweep.verdicts) == len({(n, r, j, zeros[degrees]) for n, degrees in inputs})

@@ -321,6 +321,19 @@ class TestImportGraph:
         assert result.returncode == 0
         assert result.stderr == "INFO:multisecant:census: 9 rows\n"
 
+    @pytest.mark.parametrize(
+        "level, stderr",
+        [("debug", "INFO:multisecant:census: 9 rows\n"), ("warning", ""), ("bogus", "")],
+    )
+    def test_census_log_levels(self, level, stderr, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "multisecant.cli", *CENSUS], cwd=tmp_path,
+            env=_subprocess_env(MULTISECANT_LOG=level), capture_output=True, text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == stderr
+        assert result.stdout == "wrote 9 rows to c.csv\n"
+
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):
     # the read end is closed before the child starts, so its first flush
