@@ -13,6 +13,10 @@ its two verdicts, which depend only on (n, r, j) and on which factors
 c_r(E(-i)), i = 1..j, vanish.  A sweep computes each of the two parts
 once and builds its rows from them.
 
+Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
+order, so the CSV writer passes each row on with only ``degrees`` joined
+and both readers build rows positionally.
+
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
 never as floats.  The JSON writer fills a fixed template and emits
@@ -26,7 +30,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
@@ -52,27 +56,15 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    """One complete intersection with its computed invariants.
+CensusRow = namedtuple("CensusRow", CSV_HEADER)
+CensusRow.__doc__ = """One complete intersection with its computed invariants.
 
-    All non-input fields are already serialized (exact rational strings,
-    outcome words, "true"/"false" flags) so CSV and JSON emit identical
-    values byte for byte.
+    The fields are the CSV columns, in order: the inputs n, r, degrees (a
+    tuple of ints) and j, then the computed fields.  All non-input fields
+    are already serialized (exact rational strings, outcome words,
+    "true"/"false" flags) so CSV and JSON emit identical values byte for
+    byte.
     """
-
-    n: int
-    r: int
-    degrees: tuple[int, ...]
-    j: int
-    degree: str
-    chern: str
-    twisted_top_cherns: str
-    secant_degree: str
-    jnormal: str
-    zak: str
-    integrality_warning: str
-    d_consistent: str
 
 
 class _Sweep:
@@ -95,8 +87,9 @@ class _Sweep:
         degrees = tuple(degrees)
         r = len(degrees)
         values = self.values.get((degrees, j))
+        miss = values is None
         bundle = None
-        if values is None:
+        if miss:
             bundle = complete_intersection_bundle(n, degrees)
             report = multisecant_report(bundle, j)
             total_degree = math.prod(degrees)
@@ -122,10 +115,11 @@ class _Sweep:
                 check_linear_normality_zak(n, r).outcome,
             )
             self.verdicts[n, r, j, zeros] = verdicts
-        self.values[degrees, j] = values
+        if miss:
+            self.values[degrees, j] = values
         jnormal, zak = verdicts
-        return CensusRow(
-            n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent
+        return CensusRow._make(
+            (n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent)
         )
 
 
@@ -161,23 +155,7 @@ def render_csv(rows: Iterable[CensusRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            (
-                row.n,
-                row.r,
-                ";".join(str(d) for d in row.degrees),
-                row.j,
-                row.degree,
-                row.chern,
-                row.twisted_top_cherns,
-                row.secant_degree,
-                row.jnormal,
-                row.zak,
-                row.integrality_warning,
-                row.d_consistent,
-            )
-        )
+    writer.writerows(row[:2] + (";".join(map(str, row.degrees)),) + row[3:] for row in rows)
     return buf.getvalue()
 
 
@@ -266,49 +244,34 @@ def parse_csv(text: str) -> list[CensusRow]:
     header = tuple(next(reader))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected census header: {header!r}")
-    rows = []
-    for rec in reader:
-        (n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons) = rec
-        rows.append(
-            CensusRow(
-                n=int(n),
-                r=int(r),
-                degrees=tuple(int(d) for d in degrees.split(";")),
-                j=int(j),
-                degree=degree,
-                chern=chern,
-                twisted_top_cherns=twisted,
-                secant_degree=secant,
-                jnormal=jnormal,
-                zak=zak,
-                integrality_warning=warn,
-                d_consistent=cons,
-            )
-        )
-    return rows
+    make = CensusRow._make
+    return [
+        make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
+              degree, chern, twisted, secant, jnormal, zak, warn, cons))
+        for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
+    ]
 
 
 def parse_json(text: str) -> list[CensusRow]:
     doc = json.loads(text)
+    make = CensusRow._make
     rows = []
     for rec in doc["rows"]:
-        inputs, values = rec["inputs"], rec["values"]
-        rows.append(
-            CensusRow(
-                n=inputs["n"],
-                r=inputs["r"],
-                degrees=tuple(inputs["degrees"]),
-                j=inputs["j"],
-                degree=values["degree"],
-                chern=";".join(values["chern"]),
-                twisted_top_cherns=";".join(values["twisted_top_cherns"]),
-                secant_degree=values["secant_degree"],
-                jnormal=rec["verdicts"]["jnormal"],
-                zak=rec["verdicts"]["zak"],
-                integrality_warning="true" if rec["flags"]["integrality_warning"] else "false",
-                d_consistent="true" if rec["flags"]["d_consistent"] else "false",
-            )
-        )
+        inputs, values, verdicts, flags = rec["inputs"], rec["values"], rec["verdicts"], rec["flags"]
+        rows.append(make((
+            inputs["n"],
+            inputs["r"],
+            tuple(inputs["degrees"]),
+            inputs["j"],
+            values["degree"],
+            ";".join(values["chern"]),
+            ";".join(values["twisted_top_cherns"]),
+            values["secant_degree"],
+            verdicts["jnormal"],
+            verdicts["zak"],
+            "true" if flags["integrality_warning"] else "false",
+            "true" if flags["d_consistent"] else "false",
+        )))
     return rows
 
 

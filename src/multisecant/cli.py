@@ -205,12 +205,15 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_census(args, out) -> int:
-    import logging
-
     from .census import enumerate_rows, render_csv, render_json
 
-    level = os.environ.get("MULTISECANT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    log = None
+    level = os.environ.get("MULTISECANT_LOG")
+    if level:  # unset, the one log line below is off, so logging is not imported
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
+        log = logging.getLogger("multisecant")
     rows = enumerate_rows(args.r, args.degrees, args.n, args.j)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     try:
@@ -218,7 +221,8 @@ def _cmd_census(args, out) -> int:
             fh.write(text)
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
-    logging.getLogger("multisecant").info("census: %d rows", len(rows))
+    if log is not None:
+        log.info("census: %d rows", len(rows))
     out.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_OK
 

@@ -41,7 +41,10 @@ class Record:
     they have the same class and equal fields, hash like their field
     tuple, print as ``Name(field=value, ...)`` and refuse assignment.
     It lives here, in the one module every command loads, because
-    ``dataclasses`` costs a one-shot command more than its arithmetic.
+    ``dataclasses`` costs a one-shot command more than its arithmetic;
+    no module imports ``dataclasses``.  Census rows are not records:
+    ``census.CensusRow`` is a named tuple of the CSV columns, whose
+    equality ``verify_rows`` runs on every row at C speed.
     Classes built in hot loops define a positional ``__init__`` that
     sets each slot with ``object.__setattr__``.
     """

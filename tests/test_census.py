@@ -1,6 +1,5 @@
 """Census generation, serialization round-trips, schema validation."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -233,7 +232,7 @@ def test_tampered_row_after_its_inputs_are_cached(field, value):
     rows = enumerate_rows(2, (2, 4), (3, 6), 1)
     last = rows[-1]
     assert (last.n, last.degrees) == (6, (4, 4)) and getattr(last, field) != value
-    tampered = rows[:-1] + [dataclasses.replace(last, **{field: value})]
+    tampered = rows[:-1] + [last._replace(**{field: value})]
     problems = verify_rows(tampered)
     assert len(problems) == 1 and problems[0].startswith(f"row {len(rows) - 1}: ")
 
@@ -247,7 +246,7 @@ def test_rows_outside_the_range_raise_as_compute_row_does(n, degrees, j):
         compute_row(n, degrees, j)
     # a valid row with the same degree tuple fills the cache first
     good = compute_row(len(degrees) + 2, degrees, max(j, 1))
-    bad = dataclasses.replace(good, n=n, j=j)
+    bad = good._replace(n=n, j=j)
     with pytest.raises(fresh.type) as swept:
         verify_rows([good, bad])
     assert str(swept.value) == str(fresh.value)
@@ -262,7 +261,7 @@ def test_rows_with_inputs_that_only_equal_ints_are_not_shared(field, value):
     # a float input raises in compute_row; it must not read the entries that
     # the int row with equal inputs left in the cache
     good = compute_row(5, (2, 3), 1)
-    odd = dataclasses.replace(good, **{field: value})
+    odd = good._replace(**{field: value})
     with pytest.raises(TypeError) as fresh:
         compute_row(odd.n, odd.degrees, odd.j)
     with pytest.raises(TypeError) as swept:

@@ -298,6 +298,8 @@ class TestImportGraph:
         loaded = _loaded(CENSUS, tmp_path)
         assert "multisecant.census" in loaded
         assert not loaded & {"multisecant.verify", "multisecant.fiberring"}
+        # rows are tuples, and logging is set up only when MULTISECANT_LOG asks
+        assert not loaded & {"dataclasses", "inspect", "ast", "logging"}
 
     def test_package_names_are_read_through(self):
         # not cached on the package, so a function the benchmark tracer
