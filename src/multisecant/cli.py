@@ -212,7 +212,9 @@ def _cmd_census(args, out) -> int:
     if level:  # unset, the one log line below is off, so logging is not imported
         import logging
 
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
+        # a level name maps to its number; anything else to "Level <name>"
+        number = logging.getLevelName(level.upper())
+        logging.basicConfig(level=number if isinstance(number, int) else logging.WARNING)
         log = logging.getLogger("multisecant")
     rows = enumerate_rows(args.r, args.degrees, args.n, args.j)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)

@@ -25,8 +25,8 @@ and the class of the diagonal where factors i and j agree is
 Delta_(i,j) = D_i + D_j + L.
 
 Elements are immutable maps from monomials (L-exponent, D-subset bitmask)
-to exact coefficients; normal form is unique, so equality of elements is
-equality of maps.
+to integer coefficients; normal form is unique, so equality of elements
+is equality of maps.
 
 The ring exists to replay the secant-degree recursion
 
@@ -43,10 +43,15 @@ so the accumulated class is multiplied by N and by c H_t^m and never by
 the expanded factor or a power of N.  Every class the recursion builds
 is homogeneous, so the stages carry it as a map from D-mask to
 coefficient plus one degree d: the term of mask S is L^(d-|S|) * D_S.
-Both N and c H_t^m have the form L^(p-1) * (a_L L + sum_i a_i D_i), and
-one kernel multiplies a class by such a form: the term of S keeps its
-mask with coefficient a_L - sum_(i in S) a_i (as D_i^2 = -L * D_i) and
-gains D_i with coefficient a_i for each i not in S.  The secant count
+Both N and c H_t^m have the form L^(p-1) * (a_L L + sum_i a_i D_i):
+
+    c H_t^m = L^(m-1) * (c L + c D_t),
+    N       = (1-t) L + (1-t) D_t - sum_(j<t) D_j,
+
+so the stages write down the integers a_L and a_i directly, and one
+kernel multiplies a class by such a form: the term of S keeps its mask
+with coefficient a_L - sum_(i in S) a_i (as D_i^2 = -L * D_i) and gains
+D_i with coefficient a_i for each i not in S.  The secant count
 needs only the top coefficient of the class times L^(n+k-(k+1)r); it
 runs the stages on that power of L from the start, so the L^n = 0
 truncation drops every term that can no longer reach the top monomial
@@ -61,12 +66,14 @@ chord count of the degree-4 space curve (see the test suite).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .bundles import ChernVector, top_chern_twisted
 from .errors import AmbientMismatchError, HypothesisError, Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Monomial key: (exponent of L, bitmask of D-generators present).
 Monomial = tuple[int, int]
@@ -80,13 +87,13 @@ def _check_index(i: int, factors: int):
 class FiberRingElement(Record):
     """Normal-form element of H*((T/Q)^factors) for P^ambient_dim.
 
-    ``terms`` maps monomials to nonzero exact coefficients.  Instances are
-    immutable (but unhashable: the term map is a dict).
+    ``terms`` maps monomials to nonzero integer coefficients.  Instances
+    are immutable (but unhashable: the term map is a dict).
     """
 
     __slots__ = ("ambient_dim", "factors", "terms")
 
-    def __init__(self, ambient_dim: int, factors: int, terms: Mapping[Monomial, Fraction | int]):
+    def __init__(self, ambient_dim: int, factors: int, terms: Mapping[Monomial, int]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "terms", terms)
@@ -120,7 +127,7 @@ class FiberRingElement(Record):
     def __mul__(self, other: "FiberRingElement") -> "FiberRingElement":
         self._check_compat(other)
         n = self.ambient_dim
-        out: dict[Monomial, Fraction | int] = {}
+        out: dict[Monomial, int] = {}
         for (e1, s1), c1 in self.terms.items():
             for (e2, s2), c2 in other.terms.items():
                 common = (s1 & s2).bit_count()
@@ -136,15 +143,6 @@ class FiberRingElement(Record):
                     out[key] = acc
         return FiberRingElement(n, self.factors, out)
 
-    def scale(self, factor) -> "FiberRingElement":
-        if factor == 0:
-            return FiberRingElement(self.ambient_dim, self.factors, {})
-        return FiberRingElement(
-            self.ambient_dim,
-            self.factors,
-            {m: c * factor for m, c in self.terms.items()},
-        )
-
     def __pow__(self, exponent: int) -> "FiberRingElement":
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
@@ -159,7 +157,7 @@ class FiberRingElement(Record):
         ``TestRecursion::test_trivial_bundle_dies``)."""
         return not self.terms
 
-    def coefficient(self, l_exponent: int, indices: tuple[int, ...]) -> Fraction:
+    def coefficient(self, l_exponent: int, indices: tuple[int, ...]) -> int:
         """Coefficient of the normal-form monomial L^l_exponent * prod_{i in indices} D_i.
 
         A repeated index or an L-exponent outside 0..n-1 names no
@@ -175,7 +173,7 @@ class FiberRingElement(Record):
             if mask >> (i - 1) & 1:
                 raise IndexError(f"factor index {i} repeated: D_{i}^2 is not in normal form")
             mask |= 1 << (i - 1)
-        return Fraction(self.terms.get((l_exponent, mask), 0))
+        return self.terms.get((l_exponent, mask), 0)
 
 
 class FiberRing:
@@ -215,33 +213,44 @@ class FiberRing:
     def hyperplane_class(self, i: int) -> FiberRingElement:
         """H_i = D_i + L, the hyperplane of P^n through the i-th projection.
 
-        The recursion uses ``hyperplane_power``; this sum of generators is
-        the independent oracle ``TestRelations::test_hyperplane_power_collapse``
+        The closed form uses ``hyperplane_power``; this sum of generators
+        is the independent oracle ``TestRelations::test_hyperplane_power_collapse``
         in tests/test_fiberring.py compares it with.
         """
         _check_index(i, self.factors)
         return self.exceptional(i) + self.l_class()
 
     def diagonal_class(self, i: int, j: int) -> FiberRingElement:
-        """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree."""
+        """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree.
+
+        The recursion writes N = -sum_(j<t) Delta_(j,t) as integers, so
+        only tests/test_fiberring.py uses this: ``TestRelations`` checks
+        its relations and ``TestFormKernel`` builds N from it to check the
+        recursion's integers.
+        """
         if i == j:
             raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
         _check_index(i, self.factors)
         _check_index(j, self.factors)
-        terms: dict[Monomial, Fraction | int] = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
+        terms: dict[Monomial, int] = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
         if self.ambient_dim > 1:  # L = 0 on P^1
             terms[(1, 0)] = 1
         return self._element(terms)
 
     def hyperplane_power(self, i: int, exponent: int) -> FiberRingElement:
-        """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1."""
+        """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1.
+
+        ``closed_form_top_chern`` multiplies these; the recursion writes
+        c H_t^m as integers (``TestFormKernel`` in tests/test_fiberring.py
+        checks the two agree).
+        """
         _check_index(i, self.factors)
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
         if exponent == 0:
             return self.one()
         n = self.ambient_dim
-        terms: dict[Monomial, Fraction | int] = {}
+        terms: dict[Monomial, int] = {}
         if exponent - 1 < n:
             terms[(exponent - 1, 1 << (i - 1))] = 1
         if exponent < n:
@@ -258,43 +267,36 @@ class FiberRing:
         return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
 
 
-def integrate(x: FiberRingElement) -> Fraction:
+def integrate(x: FiberRingElement) -> int:
     """Pairing with the fundamental class.
 
     Reads off the coefficient of the unique top monomial
     L^(n-1) * D_1...D_f; every other normal-form monomial integrates to 0.
     """
     n, f = x.ambient_dim, x.factors
-    return Fraction(x.terms.get((n - 1, (1 << f) - 1), 0))
+    return x.terms.get((n - 1, (1 << f) - 1), 0)
 
 
 # -- the secant-degree computation ---------------------------------------
 
 
-def _times_form(out: dict, x: dict, d: int, y: FiberRingElement, p: int) -> None:
-    """out += x * y on mask-keyed homogeneous classes.
+def _times_form(out: dict, x: dict, d: int, n: int, p: int, a_l: int, forms: list) -> None:
+    """out += x * L^(p-1) * (a_l L + sum_i a_i D_i) on mask-keyed
+    homogeneous classes in the ring over P^n.
 
     ``x`` maps D-masks S to the coefficients of a class of degree d, so
-    the term of S is L^(d-|S|) * D_S.  ``y`` has degree p and the form
-    L^(p-1) * (a_L L + sum_i a_i D_i).  ``out`` holds degree d + p.  The
-    term of S keeps its mask with coefficient a_L - sum_(i in S) a_i,
-    because D_i^2 = -L * D_i, and gains D_i with coefficient a_i for each
-    i not in S.  A term whose L-exponent reaches n is dropped.
+    the term of S is L^(d-|S|) * D_S; ``forms`` lists the pairs
+    (bit of D_i, a_i).  ``out`` holds degree d + p.  The term of S keeps
+    its mask with coefficient a_l - sum_(i in S) a_i, because
+    D_i^2 = -L * D_i, and gains D_i with coefficient a_i for each i not
+    in S.  A term whose L-exponent reaches n is dropped.
     """
-    a_l, forms = 0, []
-    for (e, mask), c in y.terms.items():
-        if (e, mask) == (p, 0):
-            a_l = c
-        elif e == p - 1 and mask.bit_count() == 1:
-            forms.append((mask, c))
-        else:
-            raise ValueError(
-                f"L^{e} D-mask {mask} is not a term of L^(p-1) * (a_L L + sum a_i D_i), p = {p}"
-            )
     # A term of S lands at L^(d+p-|S|) if it keeps S and at one L fewer
     # if it gains a D_i: both are dropped when |S| < cut, the kept one
-    # also when |S| == cut.
-    cut = d + p - y.ambient_dim
+    # also when |S| == cut.  As |S| <= d, p >= n drops every kept term
+    # and p > n every term, so the form needs no truncating where
+    # L^(p-1) or L^p vanishes, nor a_l when n = 1 (L = 0).
+    cut = d + p - n
     get = out.get
     for s, c in x.items():
         size = s.bit_count()
@@ -316,34 +318,33 @@ def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
     run on L^excess.
 
     The running class is homogeneous of degree d, so it is carried as a
-    map from D-mask S to the coefficient of L^(d-|S|) * D_S.
-    ``_times_form`` does all the arithmetic, and the class becomes a
-    ``FiberRingElement`` once, at the end.  Horner's rule in N: y = c_0 acc,
-    then for i = r-1 down to 0, y = y * N + acc * c_(r-i) H_t^(r-i), the
-    second product accumulated into y in place.
+    map from D-mask S to the coefficient of L^(d-|S|) * D_S.  Each factor
+    is passed to ``_times_form`` as its integers: c H_t^m as a_L = c and
+    [(D_t, c)], N as a_L = 1-t and [(D_j, -1) for j < t] + [(D_t, 1-t)].
+    The class becomes a ``FiberRingElement`` once, at the end.  Horner's
+    rule in N: y = c_0 acc, then for i = r-1 down to 0,
+    y = y * N + acc * c_(r-i) H_t^(r-i), the second product accumulated
+    into y in place.
     """
     r, cs, n = e.codim, e.c, e.ambient_dim
-    ring = FiberRing(n, k + 1)
     start = {0: 1} if excess < n else {}  # L^excess
-    acc: dict[int, Fraction | int] = {}
-    _times_form(acc, start, excess, ring.hyperplane_power(1, r).scale(cs[r]), r)
+    acc: dict[int, int] = {}
+    _times_form(acc, start, excess, n, r, cs[r], [(1, cs[r])])
     d = excess + r
     for t in range(2, k + 2):
-        neg_delta: dict[Monomial, Fraction | int] = {}
-        for j in range(1, t):
-            for mono, c in ring.diagonal_class(j, t).terms.items():
-                neg_delta[mono] = neg_delta.get(mono, 0) - c
-        neg_delta_sum = ring._element(neg_delta)
+        bit = 1 << (t - 1)
+        neg_delta_sum = [(1 << j, -1) for j in range(t - 1)] + [(bit, 1 - t)]
         y = acc  # c_0 = 1; the first product below leaves acc as it is
         for i in range(r - 1, -1, -1):
-            y_times_n: dict[int, Fraction | int] = {}
-            _times_form(y_times_n, y, d + r - i - 1, neg_delta_sum, 1)
+            y_times_n: dict[int, int] = {}
+            _times_form(y_times_n, y, d + r - i - 1, n, 1, 1 - t, neg_delta_sum)
             y = y_times_n
-            if cs[r - i] != 0:
-                _times_form(y, acc, d, ring.hyperplane_power(t, r - i).scale(cs[r - i]), r - i)
+            c = cs[r - i]
+            if c != 0:
+                _times_form(y, acc, d, n, r - i, c, [(bit, c)])
         acc = y
         d += r
-    return ring._element({(d - s.bit_count(), s): c for s, c in acc.items() if c})
+    return FiberRingElement(n, k + 1, {(d - s.bit_count(), s): c for s, c in acc.items() if c})
 
 
 def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -396,7 +397,14 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     term whose L-exponent d - |S| reaches n: those can never reach the
     top monomial.  The late stages shrink to a few terms instead of
     2^(k+1) monomials.
+
+    The class is integral; the 1/(k+1)! is the one division, and the only
+    use of ``fractions`` in this module.
     """
+    from fractions import Fraction
+
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     n = e.ambient_dim
     r = e.codim
     excess = n + k - (k + 1) * r
@@ -404,4 +412,4 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
         raise HypothesisError(
             f"dimension balance violated: n+k = {n + k} < (k+1)r = {(k + 1) * r}"
         )
-    return integrate(_stages(e, k, excess)) / factorial(k + 1)
+    return Fraction(integrate(_stages(e, k, excess)), factorial(k + 1))

@@ -294,6 +294,21 @@ class TestImportGraph:
         assert "fractions" in loaded  # the probe sees what a command loads
         assert not loaded & {"dataclasses", "inspect"}
 
+    def test_fiberring_loads_no_fractions(self, tmp_path):
+        # the ring is integral: only secant_count_via_ring divides, and it
+        # imports fractions when it is called
+        probe = (
+            "import sys; bare = set(sys.modules); import multisecant.fiberring; "
+            "print(*sorted(set(sys.modules) - bare))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=_subprocess_env(),
+            capture_output=True, text=True, check=True,
+        )
+        loaded = set(result.stdout.split())
+        assert "multisecant.fiberring" in loaded
+        assert not loaded & {"fractions", "decimal"}
+
     def test_census(self, tmp_path):
         loaded = _loaded(CENSUS, tmp_path)
         assert "multisecant.census" in loaded
@@ -325,7 +340,14 @@ class TestImportGraph:
 
     @pytest.mark.parametrize(
         "level, stderr",
-        [("debug", "INFO:multisecant:census: 9 rows\n"), ("warning", ""), ("bogus", "")],
+        [
+            ("debug", "INFO:multisecant:census: 9 rows\n"),
+            ("warning", ""),
+            ("bogus", ""),
+            # names of the logging module that are not levels
+            ("basic_format", ""),
+            ("Logger", ""),
+        ],
     )
     def test_census_log_levels(self, level, stderr, tmp_path):
         result = subprocess.run(

@@ -135,7 +135,7 @@ def elements(ring, rng, terms=4, bound=5):
             mono = mono * ring.l_class()
         for i in mask_indices:
             mono = mono * ring.exceptional(i)
-        out = out + mono.scale(rng.randint(-bound, bound))
+        out = out + ring.scalar(rng.randint(-bound, bound)) * mono
     return out
 
 
@@ -157,7 +157,7 @@ class TestRingAxioms:
         ring = FiberRing(n, f)
         a, b = elements(ring, rng), elements(ring, rng)
         assert integrate(a + b) == integrate(a) + integrate(b)
-        assert integrate(a.scale(7)) == 7 * integrate(a)
+        assert integrate(ring.scalar(7) * a) == 7 * integrate(a)
 
     def test_integrate_normalization(self):
         ring = FiberRing(5, 3)
@@ -183,8 +183,8 @@ class TestRingAxioms:
 
     def test_equality_across_coefficient_types(self):
         ring = FiberRing(4, 2)
-        a = ring.hyperplane_class(1).scale(3)
-        b = ring.hyperplane_class(1).scale(Fraction(3))
+        a = ring.scalar(3) * ring.hyperplane_class(1)
+        b = ring.scalar(Fraction(3)) * ring.hyperplane_class(1)
         assert a == b
 
 
@@ -195,8 +195,8 @@ class TestRecursion:
             e = line_bundle(6, d)
             ring = FiberRing(6, 2)
             expected = (
-                ring.hyperplane_class(1) * ring.hyperplane_class(2)
-            ).scale(d * (d - 1))
+                ring.scalar(d * (d - 1)) * ring.hyperplane_class(1) * ring.hyperplane_class(2)
+            )
             assert recursion_top_chern(e, 1) == expected
 
     def test_rank_two_matches_twisted_product(self):
@@ -204,8 +204,8 @@ class TestRecursion:
         ring = FiberRing(5, 2)
         scalar = 6 * 2  # c_2(E) * c_2(E(-1)) = 6 * (2-1)(3-1)
         expected = (
-            ring.hyperplane_power(1, 2) * ring.hyperplane_power(2, 2)
-        ).scale(scalar)
+            ring.scalar(scalar) * ring.hyperplane_power(1, 2) * ring.hyperplane_power(2, 2)
+        )
         assert recursion_top_chern(e, 1) == expected
         assert closed_form_top_chern(e, 1) == expected
 
@@ -217,8 +217,17 @@ class TestRecursion:
     def test_base_case(self):
         cv = ChernVector.make(6, [1, 2, 5])
         ring = FiberRing(6, 1)
-        assert recursion_top_chern(cv, 0) == ring.hyperplane_power(1, 2).scale(5)
-        assert closed_form_top_chern(cv, 0) == ring.hyperplane_power(1, 2).scale(5)
+        expected = ring.scalar(5) * ring.hyperplane_power(1, 2)
+        assert recursion_top_chern(cv, 0) == expected
+        assert closed_form_top_chern(cv, 0) == expected
+
+    @pytest.mark.parametrize("k", [-1, -2])
+    @pytest.mark.parametrize(
+        "entry", [recursion_top_chern, closed_form_top_chern, secant_count_via_ring]
+    )
+    def test_negative_k_rejected(self, entry, k):
+        with pytest.raises(ValueError):
+            entry(complete_intersection_bundle(3, [2, 2]), k)
 
     @given(
         st.integers(3, 8),
@@ -388,6 +397,13 @@ class TestPrunedCount:
         for cls in (recursion_top_chern(cv, k), closed_form_top_chern(cv, k)):
             assert cls.terms
             assert all(type(v) is int for v in cls.terms.values())
+            assert type(integrate(cls)) is int
+            (e, mask), value = next(iter(cls.terms.items()))
+            indices = tuple(i + 1 for i in range(k + 1) if mask >> i & 1)
+            assert type(cls.coefficient(e, indices)) is int
+            assert cls.coefficient(e, indices) == value
+        # the one division, by (k+1)!, is exact rational
+        assert type(secant_count_via_ring(cv, k)) is Fraction
 
 
 class TestFormKernel:
@@ -395,8 +411,12 @@ class TestFormKernel:
 
     Classes are random and homogeneous, given as {D-mask: coefficient} with
     a degree; each is multiplied by N_t = -sum_(j<t) Delta_(j,t) and by
-    c H_t^m for m = 0..n+1.  Elements are rebuilt from the generators, so
-    the comparison does not rely on the kernel's mask encoding.
+    c H_t^m for m = 1..n+1.  Elements are rebuilt from the generators, so
+    the comparison does not rely on the kernel's mask encoding.  The
+    kernel's integers are read off the same factor built in a ring over a
+    larger P^n, where L^p does not vanish: those are the integers the
+    stages pass, also where the ring over P^n truncates the factor
+    (n = 1, where L = 0, and m >= n).
     """
 
     @staticmethod
@@ -407,7 +427,7 @@ class TestFormKernel:
             for i in range(ring.factors):
                 if s >> i & 1:
                     mono = mono * ring.exceptional(i + 1)
-            out = out + mono.scale(c)
+            out = out + ring.scalar(c) * mono
         return out
 
     @staticmethod
@@ -421,28 +441,38 @@ class TestFormKernel:
             if 0 <= d - s.bit_count() < n and rng.random() < 0.7
         }
 
-    def check(self, ring, x, d, y, p, seen):
+    @staticmethod
+    def form(y, p):
+        """(a_L, [(bit of D_i, a_i)]) of y = L^(p-1) * (a_L L + sum_i a_i D_i)."""
+        a_l = y.coefficient(p, ())
+        forms = [(1 << i, y.coefficient(p - 1, (i + 1,))) for i in range(y.factors)]
+        forms = [(bit, a) for bit, a in forms if a]
+        assert len(y.terms) == bool(a_l) + len(forms)  # y has no other term
+        return a_l, forms
+
+    def check(self, ring, x, d, build, p, seen):
+        y = build(ring)
+        a_l, forms = self.form(build(FiberRing(ring.ambient_dim + p + 1, ring.factors)), p)
         expected = self.element(ring, x, d) * y
+        n = ring.ambient_dim
         out = {}
-        fiberring._times_form(out, x, d, y, p)
+        fiberring._times_form(out, x, d, n, p, a_l, forms)
         assert self.element(ring, out, d + p) == expected
         # the rebuilt element would hide an L^n term, as L^n = 0 there
-        assert all(0 <= d + p - s.bit_count() < ring.ambient_dim for s in out)
+        assert all(0 <= d + p - s.bit_count() < n for s in out)
         # accumulating into a class of degree d + p adds the product to it
-        z0 = {
-            s: 1 for s in range(1 << ring.factors) if 0 <= d + p - s.bit_count() < ring.ambient_dim
-        }
+        z0 = {s: 1 for s in range(1 << ring.factors) if 0 <= d + p - s.bit_count() < n}
         z = dict(z0)
-        fiberring._times_form(z, x, d, y, p)
+        fiberring._times_form(z, x, d, n, p, a_l, forms)
         assert self.element(ring, z, d + p) == self.element(ring, z0, d + p) + expected
         seen["empty factor"] += not y.terms
-        seen["top L-exponent"] += any(
-            c and d - s.bit_count() == ring.ambient_dim - 1 for s, c in x.items()
-        )
+        seen["top L-exponent"] += any(c and d - s.bit_count() == n - 1 for s, c in x.items())
 
     def test_matches_general_product(self):
         rng = random.Random(11)
-        seen = dict.fromkeys(["mask contains t", "top L-exponent", "empty factor", "c = 0"], 0)
+        seen = dict.fromkeys(
+            ["mask contains t", "top L-exponent", "empty factor", "c = 0", "n = 1, t > 1"], 0
+        )
         for _ in range(120):
             n, f = rng.randint(1, 8), rng.randint(1, 6)
             ring = FiberRing(n, f)
@@ -451,27 +481,22 @@ class TestFormKernel:
             t = rng.randint(1, f)
             seen["mask contains t"] += any(c and s >> (t - 1) & 1 for s, c in x.items())
             if t > 1:
-                neg_delta_sum = ring.zero()
-                for j in range(1, t):
-                    neg_delta_sum = neg_delta_sum - ring.diagonal_class(j, t)
+                seen["n = 1, t > 1"] += n == 1
+
+                def neg_delta_sum(ring):
+                    out = ring.zero()
+                    for j in range(1, t):
+                        out = out - ring.diagonal_class(j, t)
+                    return out
+
                 self.check(ring, x, d, neg_delta_sum, 1, seen)
-            for m in range(n + 2):
+            for m in range(1, n + 2):
                 c = rng.choice([0, rng.randint(-9, 9)])
                 seen["c = 0"] += c == 0
-                self.check(ring, x, d, ring.hyperplane_power(t, m).scale(c), m, seen)
+                self.check(
+                    ring, x, d, lambda ring: ring.scalar(c) * ring.hyperplane_power(t, m), m, seen
+                )
         assert all(seen.values()), seen
-
-    @pytest.mark.parametrize(
-        "build, p",
-        [
-            (lambda ring: ring.exceptional(1) * ring.exceptional(2), 2),  # two D's in a term
-            (lambda ring: ring.hyperplane_class(1), 2),  # degree 1, said to be 2
-            (lambda ring: ring.one(), 1),  # L^0 where L^(p-1) * a_L L = L is due
-        ],
-    )
-    def test_rejects_other_forms(self, build, p):
-        with pytest.raises(ValueError, match="is not a term of"):
-            fiberring._times_form({}, {0: 1}, 0, build(FiberRing(5, 3)), p)
 
 
 class TestOracleIndependence:

@@ -37,6 +37,10 @@ ALLOWED = {
 
 ALLOWED_METHODS = {
     "ChernVector.degree_consistent": "ROADMAP item 6 (make the consistency promise real)",
+    "FiberRing.diagonal_class": (
+        "oracle: tests/test_fiberring.py TestRelations (the diagonal tests) and "
+        "TestFormKernel"
+    ),
     "FiberRing.hyperplane_class": (
         "oracle: tests/test_fiberring.py::TestRelations::test_hyperplane_power_collapse"
     ),
