@@ -13,9 +13,9 @@ the bundle E whose section cuts out X, and the normal bundle N of X.
 * Abstract normal-bundle data (``ChernVector.make``) has ``abstract``
   True and keeps its c_i as given, even when r > n.  In the Barth range
   the degree d of the subvariety equals the self-intersection number
-  c_r, and ``make`` enforces d = c_r unless the caller explicitly opts
-  into inconsistent data for evaluating suspect printed formulas
-  verbatim.
+  c_r, so the degree defaults to c_r.  An explicit d is kept as given,
+  so that suspect printed formulas can be evaluated verbatim, and
+  ``degree_consistent`` records whether it equals c_r.
 
 Values are immutable; all functions are pure.
 """
@@ -57,27 +57,16 @@ class ChernVector(Record):
         object.__setattr__(self, "abstract", abstract)
 
     @classmethod
-    def make(
-        cls,
-        ambient_dim: int,
-        c: Sequence[int],
-        degree: int | None = None,
-        allow_inconsistent_degree: bool = False,
-    ) -> "ChernVector":
-        """Abstract data from c_0..c_r; degree defaults to c_r.
+    def make(cls, ambient_dim: int, c: Sequence[int], degree: int | None = None) -> "ChernVector":
+        """Abstract data from the integers c_0..c_r; degree defaults to c_r.
 
-        An explicit degree different from c_r is rejected unless
-        ``allow_inconsistent_degree`` is set (used only to probe printed
-        formulas with independent d).
+        An explicit degree is kept as given, even when it differs from
+        c_r; ``degree_consistent`` records which case holds.  Every value
+        must be an integer: ``operator.index`` raises ``TypeError`` for a
+        float or a ``Fraction`` rather than truncating it.
         """
-        cc = tuple(int(x) for x in c)
-        r = len(cc) - 1
-        d = cc[r] if degree is None else int(degree)
-        if d != cc[r] and not allow_inconsistent_degree:
-            raise HypothesisError(
-                f"degree {d} contradicts the self-intersection value c_{r} = {cc[r]}"
-            )
-        return _chern_data(ambient_dim, cc, True, d)
+        d = None if degree is None else operator.index(degree)
+        return _chern_data(ambient_dim, tuple(map(operator.index, c)), True, d)
 
     @property
     def degree_consistent(self) -> bool:

@@ -56,6 +56,11 @@ CSV_HEADER = (
 )
 
 
+# Largest sweep enumerate_rows builds: 8x the 12,180-row benchmark grid.
+# A JSON census of this many rows is a 67 MB document and peaks near
+# 230 MB of resident memory; the whole document is held before writing.
+MAX_ROWS = 100_000
+
 CensusRow = namedtuple("CensusRow", CSV_HEADER)
 CensusRow.__doc__ = """One complete intersection with its computed invariants.
 
@@ -135,7 +140,11 @@ def enumerate_rows(
     j: int,
 ) -> list[CensusRow]:
     """All CI(d_1 <= ... <= d_r) with degrees and n in the given inclusive
-    ranges, ascending n first, degree tuples lexicographic within."""
+    ranges, ascending n first, degree tuples lexicographic within.
+
+    A sweep of more than ``MAX_ROWS`` rows raises ``HypothesisError``
+    before any row is built.
+    """
     lo_d, hi_d = degree_range
     lo_n, hi_n = ambient_range
     if r < 1:
@@ -146,6 +155,15 @@ def enumerate_rows(
         raise HypothesisError(
             f"ambient range must start above the codimension, got n={lo_n} <= r={r}"
         )
+    # #n * C(D+r-1, r) rows for D degrees; the binomial grows one exact
+    # factor at a time, so a huge range stops as soon as it passes the cap
+    rows = hi_n - lo_n + 1
+    for k in range(1, r + 1):
+        if rows > MAX_ROWS:
+            break
+        rows = rows * (hi_d - lo_d + k) // k
+    if rows > MAX_ROWS:
+        raise HypothesisError(f"census exceeds the limit of {MAX_ROWS} rows")
     row = _Sweep().row
     tuples = list(itertools.combinations_with_replacement(range(lo_d, hi_d + 1), r))
     return [row(n, degrees, j) for n in range(lo_n, hi_n + 1) for degrees in tuples]

@@ -88,11 +88,12 @@ def verdict_to_record(verdict) -> dict:
             {
                 "name": h.name,
                 "condition": h.condition,
-                "left": h.render_sides()[0],
-                "right": h.render_sides()[1],
+                "left": left,
+                "right": right,
                 "satisfied": h.satisfied,
             }
             for h in verdict.hypotheses
+            for left, right in [h.render_sides()]
         ],
     }
     if verdict.notes:
@@ -167,8 +168,7 @@ def _cmd_normality(args, out) -> int:
     if not value.abstract:
         verdict = check_jnormal_bundle(value, args.j)
     elif args.j == 2:
-        m = value.ambient_dim - value.codim
-        verdict = check_2normal(m, value.codim, value)
+        verdict = check_2normal(value)
     elif args.j == 1:
         verdict = check_linear_normality_zak(value.ambient_dim, value.codim)
     else:
@@ -240,32 +240,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_expr_command(name: str, help_text: str):
+    def add_expr_command(name: str, run, help_text: str):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--n", type=int, required=True, help="ambient dimension")
         p.add_argument("expr", help="bundle expression, e.g. 'O(2)+O(2)' or 'N{r=2,c=[1,4,4]}'")
         return p
 
-    add_expr_command("chern", "print the total Chern class")
+    add_expr_command("chern", _cmd_chern, "print the total Chern class")
 
-    p = add_expr_command("secants", "degree of the (j+1)-secant locus")
+    p = add_expr_command("secants", _cmd_secants, "degree of the (j+1)-secant locus")
     p.add_argument("--j", type=int, required=True, help="count (j+1)-secant lines")
 
-    add_expr_command("trisecant", "trisecant count, closed form and double sum")
+    add_expr_command("trisecant", _cmd_trisecant, "trisecant count, closed form and double sum")
 
-    p = add_expr_command("normality", "normality-criterion verdict")
+    p = add_expr_command("normality", _cmd_normality, "normality-criterion verdict")
     p.add_argument("--j", type=int, required=True, help="normality degree j")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = add_expr_command("segre", "a single Segre coefficient")
+    p = add_expr_command("segre", _cmd_segre, "a single Segre coefficient")
     p.add_argument("--k", type=int, required=True, help="Segre index k")
 
     p = sub.add_parser("verify", help="run a named verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("census", help="enumerate complete intersections to a file")
+    p.set_defaults(run=_cmd_census)
     p.add_argument("--r", type=int, required=True, help="codimension")
     p.add_argument("--degrees", type=_parse_range, required=True, metavar="LO..HI")
     p.add_argument("--n", type=_parse_range, required=True, metavar="LO..HI")
@@ -276,24 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "chern": _cmd_chern,
-    "secants": _cmd_secants,
-    "trisecant": _cmd_trisecant,
-    "normality": _cmd_normality,
-    "segre": _cmd_segre,
-    "verify": _cmd_verify,
-    "census": _cmd_census,
-}
-
-
 def run_command(argv, out=None) -> int:
     """Run one CLI invocation; returns the exit code."""
     out = out if out is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)
         _check_limits(args)
-        return _COMMANDS[args.command](args, out)
+        return args.run(args, out)
     except _CliExit as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

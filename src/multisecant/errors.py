@@ -45,17 +45,20 @@ class Record:
     no module imports ``dataclasses``.  Census rows are not records:
     ``census.CensusRow`` is a named tuple of the CSV columns, whose
     equality ``verify_rows`` runs on every row at C speed.
-    Classes built in hot loops define a positional ``__init__`` that
-    sets each slot with ``object.__setattr__``.
+    A record is built from its fields in slot order, positionally only.
+    A subclass defines its own ``__init__`` only to validate its fields
+    (``ChernVector``, ``TruncatedClassPoly``), to give a mutable record
+    defaults (``verify.SuiteReport``), or because it is built in a hot
+    loop (``FiberRingElement``, ``Hypothesis``, ``Verdict``), where setting
+    each slot with ``object.__setattr__`` beats this generic loop.
     """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        fields = dict(zip(self.__slots__, args), **kwargs)
-        if len(fields) != len(args) + len(kwargs) or fields.keys() != set(self.__slots__):
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for name, value in fields.items():
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:

@@ -12,15 +12,16 @@ Grammar (whitespace-insensitive):
     int     := [ "-" ] digits                    ASCII 0-9 only
 
 Sums elaborate by Whitney sum; a twist suffix applies only to a
-parenthesized expression.  ``parse_bundle(print_bundle(tree)) == tree``
-holds for every tree the printer emits (the printer parenthesizes twist
-targets and nothing else).  Abstract normal data cannot appear inside a
-sum: its ``ChernVector`` has ``abstract`` set, and only split bundles
-have a Whitney sum.
+parenthesized expression.  Abstract normal data cannot be a summand,
+twisted or not: its ``ChernVector`` has ``abstract`` set, and only split
+bundles have a Whitney sum.  The parser rejects such a sum at the start
+of the offending summand.  ``parse_bundle(print_bundle(tree)) == tree``
+holds for every tree the parser accepts (the printer parenthesizes twist
+targets and nothing else).
 
-An explicit ``d=`` different from the top coefficient opts into
-degree-inconsistent data, which downstream code flags; omitting it
-defaults d to c_r.
+An explicit ``d=`` is kept as the degree even when it differs from the
+top coefficient; ``ChernVector.degree_consistent`` records whether it
+does, and no output shows that yet.  Omitting it defaults d to c_r.
 """
 
 from __future__ import annotations
@@ -118,10 +119,19 @@ def parse_bundle(src: str) -> BundleExpr:
 
 
 def _parse_expr(s: _Scanner, depth: int) -> BundleExpr:
-    terms = [_parse_term(s, depth)]
-    while s.try_take("+"):
+    starts, terms = [], []
+    while not terms or s.try_take("+"):
+        s.skip_ws()
+        starts.append(s.pos)
         terms.append(_parse_term(s, depth))
-    return terms[0] if len(terms) == 1 else SumExpr(tuple(terms))
+    if len(terms) == 1:
+        return terms[0]
+    for start, term in zip(starts, terms):
+        while isinstance(term, TwistExpr):
+            term = term.sub
+        if isinstance(term, AbstractNormalExpr):
+            raise ParseError("abstract normal data cannot be summed", start)
+    return SumExpr(tuple(terms))
 
 
 def _parse_term(s: _Scanner, depth: int) -> BundleExpr:
@@ -220,17 +230,10 @@ def elaborate(tree: BundleExpr, ambient_dim: int) -> ChernVector:
         parts = [elaborate(t, ambient_dim) for t in tree.terms]
         out = parts[0]
         for p in parts[1:]:
-            if out.abstract or p.abstract:
-                raise ParseError("abstract normal data cannot be summed", 0)
             out = direct_sum(out, p)
         return out
     if isinstance(tree, TwistExpr):
         return twist(elaborate(tree.sub, ambient_dim), tree.t)
     if isinstance(tree, AbstractNormalExpr):
-        return ChernVector.make(
-            ambient_dim,
-            tree.c,
-            degree=tree.degree,
-            allow_inconsistent_degree=tree.degree is not None,
-        )
+        return ChernVector.make(ambient_dim, tree.c, tree.degree)
     raise TypeError(f"not a bundle expression: {tree!r}")

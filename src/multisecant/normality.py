@@ -143,9 +143,12 @@ def check_jnormal_bundle(
     return Verdict(outcome, tuple(hyps), "jnormal-bundle-criterion", (note,))
 
 
-def check_2normal(m: int, r: int, cv: ChernVector) -> Verdict:
-    """Quadratic normality: c_r(N(-2)) != 0 and 6r <= m-4."""
-    if m < 1 or r < 1:
+def check_2normal(cv: ChernVector) -> Verdict:
+    """Quadratic normality of X^m in P^n with normal data ``cv``:
+    c_r(N(-2)) != 0 and 6r <= m-4, where r = ``cv.codim`` and m = n - r."""
+    r = cv.codim
+    m = cv.ambient_dim - r
+    if m < 1:
         raise HypothesisError(f"parameters must be positive: m={m}, r={r}")
     value = top_chern_twisted(cv, -2)
     hyps = (

@@ -40,12 +40,6 @@ class SecantDegree(Record):
 
     __slots__ = ("value", "factors", "possibly_degenerate", "integral")
 
-    def __init__(self, value: Fraction, factors: tuple, possibly_degenerate: bool, integral: bool):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "possibly_degenerate", possibly_degenerate)
-        object.__setattr__(self, "integral", integral)
-
 
 def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
     """Degree of the (j+1)-secant locus through a generic external point."""
@@ -53,12 +47,7 @@ def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
         raise ValueError(f"j must be >= 0, got {j}")
     factors = tuple(top_chern_twisted(e, -i) for i in range(j + 1))
     value = Fraction(math.prod(factors), math.factorial(j + 1))
-    return SecantDegree(
-        value=value,
-        factors=factors,
-        possibly_degenerate=(value == 0),
-        integral=(value.denominator == 1),
-    )
+    return SecantDegree(value, factors, value == 0, value.denominator == 1)
 
 
 def double_point_expansion(cv: ChernVector) -> int:

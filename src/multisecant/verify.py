@@ -116,7 +116,7 @@ def oracle_grid() -> list[tuple[int, int, int]]:
     return [(n, r, k) for n in range(3, 9) for r in range(1, 4) for k in range(1, 4)]
 
 
-def run_recursion_oracle(trials: int = 200, seed: int = 0) -> SuiteReport:
+def run_recursion_oracle(trials: int, seed: int) -> SuiteReport:
     """recursion class == closed-form class, exact normal-form equality.
 
     Trials cycle round-robin over the full (n, r, k) grid so every cell is
@@ -134,7 +134,7 @@ def run_recursion_oracle(trials: int = 200, seed: int = 0) -> SuiteReport:
     return _sampled("recursion-oracle", trials, seed, grid_line, case)
 
 
-def run_trisecant_identity(trials: int = 1000, seed: int = 0) -> SuiteReport:
+def run_trisecant_identity(trials: int, seed: int) -> SuiteReport:
     """trisecant double sum == trisecant closed form, exact."""
 
     def case(rng, trial):
@@ -147,7 +147,7 @@ def run_trisecant_identity(trials: int = 1000, seed: int = 0) -> SuiteReport:
     return _sampled("trisecant-identity", trials, seed, sample, case)
 
 
-def run_lemma51(trials: int = 0, seed: int = 0) -> SuiteReport:
+def run_lemma51(trials: int, seed: int) -> SuiteReport:
     """Both binomial identities on their full grids (exhaustive, so the
     trials/seed arguments are accepted for interface uniformity only).
 
@@ -196,7 +196,7 @@ def run_lemma51(trials: int = 0, seed: int = 0) -> SuiteReport:
     return report.finish()
 
 
-def run_cterm(trials: int = 200, seed: int = 0) -> SuiteReport:
+def run_cterm(trials: int, seed: int) -> SuiteReport:
     """(c)-term raw sum == closed form d*c_(r-1) + d^2*(r-1), exact."""
 
     def worked(report):
@@ -218,7 +218,7 @@ def run_cterm(trials: int = 200, seed: int = 0) -> SuiteReport:
     return _sampled("cterm", trials, seed, sample, case, worked)
 
 
-def bterm_grid(seed: int = 0, cases: int = 50) -> list[ChernVector]:
+def bterm_grid(seed: int, cases: int) -> list[ChernVector]:
     """The fixed comparison grid: codimension cycles 1..5, the ambient
     dimension stays just above 2r-2, Chern data comes from one seeded
     stream."""
@@ -231,7 +231,7 @@ def bterm_grid(seed: int = 0, cases: int = 50) -> list[ChernVector]:
     return grid
 
 
-def run_bterm_experiment(trials: int = 50, seed: int = 0) -> SuiteReport:
+def run_bterm_experiment(trials: int, seed: int) -> SuiteReport:
     """Compare the raw triple-sum (b) term against its reduced double sum
     on the fixed grid.
 
@@ -256,6 +256,7 @@ def run_bterm_experiment(trials: int = 50, seed: int = 0) -> SuiteReport:
     return report.finish()
 
 
+# suite name: (runner, default trials); the defaults are written only here
 _RUNNERS = {
     "recursion-oracle": (run_recursion_oracle, 200),
     "trisecant-identity": (run_trisecant_identity, 1000),

@@ -1,6 +1,8 @@
 """Bundle construction, twisting, top Chern values, Segre coefficients."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from multisecant import (
     top_chern_twisted,
     twist,
 )
+from multisecant.verify import _random_chern_vector
 
 
 def split_bundle_chern(n, weights):
@@ -224,13 +227,34 @@ class TestChernVector:
         cv = ChernVector.make(4, [1, 4, 4])
         assert cv.degree == 4 and cv.degree_consistent
 
-    def test_inconsistent_degree_rejected(self):
-        with pytest.raises(HypothesisError):
-            ChernVector.make(4, [1, 4, 4], degree=5)
-
     def test_inconsistent_degree_explicit_optin(self):
-        cv = ChernVector.make(4, [1, 4, 4], degree=5, allow_inconsistent_degree=True)
+        # an explicit degree is kept as given, and the flag records the mismatch
+        cv = ChernVector.make(4, [1, 4, 4], degree=5)
         assert cv.degree == 5 and not cv.degree_consistent
+        assert ChernVector.make(4, [1, 4, 4], degree=4).degree_consistent
+
+    @pytest.mark.parametrize(
+        "c, degree",
+        [
+            ([1, 2.9, 4.2], None),
+            ([1, Fraction(1, 2)], None),
+            ([1, 2.0], None),
+            ([1, 4, 4], 7.5),
+            ([1, 4, 4], Fraction(4)),
+        ],
+        ids=["floats", "fraction", "integral-float", "float-degree", "integral-fraction-degree"],
+    )
+    def test_non_integer_data_is_rejected_not_truncated(self, c, degree):
+        with pytest.raises(TypeError):
+            ChernVector.make(4, c, degree)
+
+    def test_sampled_integers_pass(self):
+        cv = ChernVector.make(4, (1, -3, 10**30), degree=-(10**40))
+        assert cv.c == (1, -3, 10**30) and cv.degree == -(10**40)
+        rng = random.Random(0)
+        for r in range(1, 6):
+            cv = _random_chern_vector(rng, 2 * r, r, 9)
+            assert all(type(x) is int for x in cv.c) and type(cv.degree) is int
 
     def test_leading_one_required(self):
         with pytest.raises(ValueError):

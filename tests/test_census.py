@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+from multisecant import census
 from multisecant.bundles import complete_intersection_bundle
 from multisecant.census import (
     CSV_HEADER,
@@ -118,6 +119,26 @@ def test_ambient_must_exceed_codim():
 def test_bad_ranges():
     with pytest.raises(ValueError):
         enumerate_rows(2, (3, 2), (3, 5), 1)
+
+
+@pytest.mark.parametrize("cap, allowed", [(9, True), (8, False)])
+def test_row_cap_is_checked_at_the_boundary(cap, allowed, monkeypatch):
+    # 3 values of n times C(2+2-1, 2) = 3 degree pairs: 9 rows
+    monkeypatch.setattr(census, "MAX_ROWS", cap)
+    if allowed:
+        assert len(enumerate_rows(2, (2, 3), (3, 5), 1)) == 9
+    else:
+        with pytest.raises(HypothesisError, match="exceeds the limit of 8 rows"):
+            enumerate_rows(2, (2, 3), (3, 5), 1)
+
+
+@pytest.mark.parametrize(
+    "r, degree_range, ambient_range",
+    [(3, (1, 100_000), (4, 4)), (1, (1, 10**4000), (2, 2)), (40, (0, 1), (41, 10**6))],
+)
+def test_huge_sweeps_are_refused_from_the_count(r, degree_range, ambient_range):
+    with pytest.raises(HypothesisError, match="exceeds the limit of 100000 rows"):
+        enumerate_rows(r, degree_range, ambient_range, 1)
 
 
 # -- the JSON writer against json.dumps ---------------------------------------

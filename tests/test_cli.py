@@ -9,6 +9,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,10 @@ class TestExitCodes:
         assert "FAIL" in text
 
 
+HUGE_CENSUS = ["census", "--r", "3", "--degrees", "1..100000", "--n", "4..4", "--j", "2",
+               "--out", "c.csv"]
+
+
 class TestLimits:
     # at the limit the command runs; one past it exits 2 before any arithmetic
     @pytest.mark.parametrize(
@@ -208,6 +213,7 @@ class TestLimits:
               "--out", "c.csv"], "--n 10001 exceeds the limit 10000"),
             (["census", "--r", "1", "--degrees", "1..1", "--n", "2..3", "--j", "1001",
               "--out", "c.csv"], "--j 1001 exceeds the limit 1000"),
+            (HUGE_CENSUS, "census exceeds the limit of 100000 rows"),
         ],
     )
     def test_past_the_limit_is_computational(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -215,6 +221,13 @@ class TestLimits:
         assert run(argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "c.csv").exists()
+
+    def test_huge_census_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
+        # about 1.7e14 rows: refused from the count alone, in well under a second
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert run(HUGE_CENSUS)[0] == 2
+        assert time.perf_counter() - start < 1.0
 
 
 # Runs one invocation in a fresh interpreter and prints which of the

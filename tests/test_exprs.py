@@ -36,6 +36,16 @@ BAD_LITERALS = {
     "5000-digit-negative-twist": ("(T)@(-" + "1" * 5000 + ")", 5),
 }
 
+# abstract normal data in a sum, bare, twisted or in a nested sum, with the
+# offset of the offending summand
+ABSTRACT_SUMMANDS = {
+    "O(1)+N{r=1,c=[1,2]}": 5,
+    "O(1) + (N{r=1,c=[1,2]})@(1)": 7,
+    "T+(O(1)+N{r=1,c=[1,2]})": 8,
+    "N{r=1,c=[1,2]}+O(1)": 0,
+    "T + ((N{r=1,c=[1,2]})@(1))@(2)": 4,
+}
+
 # far past any recursion limit if every "(" cost a stack frame
 DEEP_NESTING = "(" * 3000
 
@@ -75,6 +85,12 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_bundle("O(2)+*")
         assert err.value.position == 5
+
+    @pytest.mark.parametrize("src, position", ABSTRACT_SUMMANDS.items())
+    def test_abstract_summand_is_a_parse_error_at_its_start(self, src, position):
+        with pytest.raises(ParseError, match="abstract normal data cannot be summed") as err:
+            parse_bundle(src)
+        assert err.value.position == position
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -130,6 +146,15 @@ def test_cli_exits_one_on_deep_nesting(src, capsys):
     assert capsys.readouterr().err.startswith("parse error: parentheses nested deeper than ")
 
 
+@pytest.mark.parametrize("src, position", ABSTRACT_SUMMANDS.items())
+def test_cli_exits_one_on_an_abstract_summand(src, position, capsys):
+    code = run_command(["chern", "--n", "4", src], out=io.StringIO())
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"parse error: abstract normal data cannot be summed (at position {position})\n"
+    )
+
+
 @pytest.mark.parametrize("case", list(BAD_LITERALS))
 def test_cli_exits_one_on_a_bad_literal(case, capsys):
     code = run_command(["chern", "--n", "3", BAD_LITERALS[case][0]], out=io.StringIO())
@@ -149,9 +174,15 @@ def expr_trees(max_depth=3):
         ),
     )
 
+    def abstract(tree):
+        while isinstance(tree, TwistExpr):
+            tree = tree.sub
+        return isinstance(tree, AbstractNormalExpr)
+
     def extend(children):
+        # the grammar has no sum with an abstract summand, twisted or not
         return st.one_of(
-            st.lists(children, min_size=2, max_size=3).map(
+            st.lists(children.filter(lambda t: not abstract(t)), min_size=2, max_size=3).map(
                 lambda ts: SumExpr(tuple(ts))
             ),
             st.tuples(children, st.integers(-4, 4)).map(

@@ -87,15 +87,28 @@ class TestJnormalBundle:
 
 
 class TestTwoNormal:
+    # X^m in P^n with normal data of rank r: the criterion reads m = n - r
+
     def test_boundary_holds(self):
-        v = check_2normal(16, 2, ChernVector.make(16, [1, 6, 9]))
+        v = check_2normal(ChernVector.make(18, [1, 6, 9]))
         assert v.outcome == "holds"
 
     def test_bound_fails(self):
-        assert check_2normal(15, 2, ChernVector.make(15, [1, 6, 9])).outcome == "fails"
+        assert check_2normal(ChernVector.make(17, [1, 6, 9])).outcome == "fails"
 
     def test_twisted_chern_vanishes(self):
-        assert check_2normal(16, 2, ChernVector.make(16, [1, 4, 4])).outcome == "fails"
+        assert check_2normal(ChernVector.make(18, [1, 4, 4])).outcome == "fails"
+
+    @pytest.mark.parametrize("n, holds", [(17, False), (18, True)])
+    def test_codim_bound_reads_m_from_the_data(self, n, holds):
+        v = check_2normal(ChernVector.make(n, [1, 6, 9]))
+        bound = next(h for h in v.hypotheses if h.name == "codim_bound")
+        assert (bound.left, bound.right) == (6 * 2, n - 2 - 4)
+        assert bound.satisfied is holds
+
+    def test_no_positive_dimensional_x_is_rejected(self):
+        with pytest.raises(HypothesisError):
+            check_2normal(ChernVector.make(2, [1, 6, 9]))
 
 
 class TestZak:

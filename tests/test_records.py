@@ -98,3 +98,21 @@ def test_suite_report_is_a_mutable_record():
     assert repr(report) == "SuiteReport(name='cterm', passed=False, lines=['line'])"
     with pytest.raises(TypeError):
         hash(report)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LineBundleExpr(a=2),
+        lambda: TwistExpr(LineBundleExpr(1), t=-2),
+        lambda: SecantDegree(Fraction(8), (4, 4), False, integral=True),
+        lambda: LineBundleExpr(),
+        lambda: LineBundleExpr(1, 2),
+        lambda: TangentExpr(0),
+        lambda: SecantDegree(Fraction(8), (4, 4), False),
+    ],
+    ids=["keyword", "mixed", "keyword-last", "too-few", "too-many", "fieldless", "one-short"],
+)
+def test_records_take_their_fields_positionally_and_all_of_them(build):
+    with pytest.raises(TypeError):
+        build()

@@ -146,7 +146,7 @@ class TestTrisecant:
         assert trisecant_double_sum(cv) == 0
 
     def test_degenerate_probe_with_overridden_degree(self):
-        cv = ChernVector.make(6, [1, 0, 0], degree=1, allow_inconsistent_degree=True)
+        cv = ChernVector.make(6, [1, 0, 0], degree=1)
         assert trisecant_closed(cv) == 2
 
     def test_unit_hypersurface(self):

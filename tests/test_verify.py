@@ -279,6 +279,20 @@ DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_run_suite_passes_the_table_default(suite, monkeypatch):
+    # the suites have no defaults of their own: run_suite supplies the table's
+    runner, default = verify._RUNNERS[suite]
+    calls = []
+    fake = verify.SuiteReport(suite, True)
+    monkeypatch.setitem(
+        verify._RUNNERS, suite, (lambda *args: calls.append(args) or fake, default)
+    )
+    assert verify.run_suite(suite) is fake
+    assert calls == [(default, 0)]
+    assert verify.run_suite(suite, 3, 7) is fake and calls[1] == (3, 7)
+
+
 @pytest.mark.parametrize("suite, seed", list(DIGESTS), ids=lambda v: str(v))
 def test_default_trials_output_digest(suite, seed):
     out = io.StringIO()
