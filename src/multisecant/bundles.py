@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .classpoly import TruncatedClassPoly
-from .combinat import binomial
 from .errors import AmbientMismatchError, HypothesisError, Record
+
+if TYPE_CHECKING:
+    from .classpoly import TruncatedClassPoly
 
 
 class ChernVector(Record):
@@ -75,6 +76,8 @@ class ChernVector(Record):
     @property
     def total_chern(self) -> TruncatedClassPoly:
         """c_0 + c_1 H + ... + c_r H^r in the ring of P^n."""
+        from .classpoly import TruncatedClassPoly
+
         return TruncatedClassPoly.from_coeffs(self.ambient_dim, self.c)
 
 
@@ -108,7 +111,7 @@ def tangent_bundle(ambient_dim: int) -> ChernVector:
     if ambient_dim < 1:
         raise ValueError("ambient dimension must be >= 1")
     n = ambient_dim
-    return _chern_data(n, [binomial(n + 1, k) for k in range(n + 1)], False)
+    return _chern_data(n, [math.comb(n + 1, k) for k in range(n + 1)], False)
 
 
 def direct_sum(a: ChernVector, b: ChernVector) -> ChernVector:
@@ -156,7 +159,7 @@ def twist(e: ChernVector, t: int) -> ChernVector:
     """
     r, cs = e.codim, e.c
     new_c = [
-        sum(binomial(r - i, k - i) * cs[i] * t ** (k - i) for i in range(k + 1))
+        sum(math.comb(r - i, k - i) * cs[i] * t ** (k - i) for i in range(k + 1))
         for k in range(r + 1)
     ]
     if e.abstract:
@@ -225,6 +228,8 @@ def segre_series(cv: ChernVector) -> TruncatedClassPoly:
     tests/test_bundles.py::TestSegre::test_duality_with_polynomial_route
     compares the two.
     """
+    from .classpoly import TruncatedClassPoly
+
     n = cv.ambient_dim
     euler = TruncatedClassPoly.from_coeffs(n, [math.comb(n + 1, k) for k in range(n + 1)])
     return euler.inverse() * TruncatedClassPoly.from_coeffs(n, cv.c)

@@ -149,6 +149,8 @@ def enumerate_rows(
     lo_n, hi_n = ambient_range
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
     if lo_d > hi_d or lo_n > hi_n:
         raise ValueError("empty parameter range")
     if lo_n <= r:

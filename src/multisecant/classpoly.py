@@ -1,8 +1,8 @@
 """Exact truncated polynomials in the hyperplane class H.
 
 A class on projective space P^n is written as a polynomial
-a_0 + a_1*H + ... + a_n*H^n with exact rational coefficients; everything
-of degree > n is zero in the cohomology ring, so arithmetic truncates at
+a_0 + a_1*H + ... + a_n*H^n with exact coefficients; everything of
+degree > n is zero in the cohomology ring, so arithmetic truncates at
 degree n.  The representation is a dense tuple of n+1 coefficients
 (coefficient of H^k at index k):
 
@@ -13,28 +13,25 @@ bundle's total Chern class as one of these polynomials, and
 ``segre_series`` inverts (1+H)^(n+1) in it, an inverse-series route to
 the Segre classes that cross-checks the sign convention of
 ``segre_coefficient``.  So the class offers construction, the truncated
-product, the inverse, coefficient access and printing, and nothing else.
+product, the inverse and printing, and nothing else; callers read
+``coeffs`` directly.
 
-Coefficients are exact ``int``s, or ``Fraction``s only where a division
-forces them (a ``Fraction`` input, or inverting a unit whose constant
-term is not +-1); the two mix exactly, so integral Chern data stays
-integral.  Values are immutable; all operations are pure and return new
-values.  No floating point is used anywhere.
+Chern data is integral, and the inverse exists only for a constant term
+of +-1 (the units of Z[H]/H^(n+1)), so integral input stays integral and
+nothing here divides.  Values are immutable; all operations are pure and
+return new values.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import AmbientMismatchError, NonUnitError, Record
 from .rationals import format_rational
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 
 class TruncatedClassPoly(Record):
-    """A polynomial in H over Q, truncated to the ambient dimension.
+    """A polynomial in H, truncated to the ambient dimension.
 
     ``coeffs`` always has length ``ambient_dim + 1``; no coefficient beyond
     degree ``ambient_dim`` is ever stored.
@@ -42,7 +39,7 @@ class TruncatedClassPoly(Record):
 
     __slots__ = ("ambient_dim", "coeffs")
 
-    def __init__(self, ambient_dim: int, coeffs: tuple[int | Fraction, ...]):
+    def __init__(self, ambient_dim: int, coeffs: tuple[int, ...]):
         if ambient_dim < 0:
             raise ValueError(f"ambient dimension must be >= 0, got {ambient_dim}")
         if len(coeffs) != ambient_dim + 1:
@@ -53,7 +50,7 @@ class TruncatedClassPoly(Record):
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_coeffs(cls, ambient_dim: int, coeffs: Iterable[int | Fraction]) -> "TruncatedClassPoly":
+    def from_coeffs(cls, ambient_dim: int, coeffs: Iterable[int]) -> "TruncatedClassPoly":
         """Build from low-degree-first coefficients.
 
         Shorter sequences are zero-padded; coefficients beyond degree
@@ -85,45 +82,25 @@ class TruncatedClassPoly(Record):
     def inverse(self) -> "TruncatedClassPoly":
         """Multiplicative inverse in the truncated ring.
 
-        Requires a unit, i.e. nonzero constant term; computed by the usual
-        power-series recursion b_k = -(1/a_0) * sum_{i>=1} a_i b_{k-i}.
-        The inverse stays integral when a_0 = +-1; only otherwise is
-        ``fractions`` imported.
+        Requires a unit of Z[H]/H^(n+1), i.e. constant term a_0 = +-1;
+        computed by the power-series recursion
+        b_k = -a_0 * sum_{i>=1} a_i b_{k-i}, as 1/a_0 = a_0.
         """
         a = self.coeffs
-        if a[0] == 0:
-            raise NonUnitError("cannot invert: constant term is zero")
+        a0 = a[0]
+        if a0 not in (1, -1):
+            raise NonUnitError(f"cannot invert: constant term {a0} is not +-1")
         n = self.ambient_dim
-        if a[0] in (1, -1):
-            inv0 = a[0]
-        else:
-            from fractions import Fraction
-
-            inv0 = Fraction(1, a[0])
-        b = [0] * (n + 1)
-        b[0] = inv0
+        b = [a0] + [0] * n
         for k in range(1, n + 1):
             acc = 0
             for i in range(1, k + 1):
                 if a[i] != 0:
                     acc += a[i] * b[k - i]
-            b[k] = -inv0 * acc
+            b[k] = -a0 * acc
         return TruncatedClassPoly(n, tuple(b))
 
-    # -- queries --------------------------------------------------------
-
-    def coefficient(self, k: int) -> int | Fraction:
-        """The coefficient of H^k.
-
-        The tests read classes through it: tests/test_bundles.py
-        (``test_tangent_top_coefficient``,
-        ``test_duality_with_polynomial_route``) and tests/test_classpoly.py.
-        """
-        if not 0 <= k <= self.ambient_dim:
-            raise IndexError(
-                f"degree {k} out of range for P^{self.ambient_dim}"
-            )
-        return self.coeffs[k]
+    # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
         terms = []

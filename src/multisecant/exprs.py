@@ -1,4 +1,4 @@
-"""Bundle-expression AST, parser and printer.
+"""Bundle-expression AST, parser and elaboration.
 
 Grammar (whitespace-insensitive):
 
@@ -15,9 +15,9 @@ Sums elaborate by Whitney sum; a twist suffix applies only to a
 parenthesized expression.  Abstract normal data cannot be a summand,
 twisted or not: its ``ChernVector`` has ``abstract`` set, and only split
 bundles have a Whitney sum.  The parser rejects such a sum at the start
-of the offending summand.  ``parse_bundle(print_bundle(tree)) == tree``
-holds for every tree the parser accepts (the printer parenthesizes twist
-targets and nothing else).
+of the offending summand.  The test suite's printer (``print_bundle`` in
+tests/oracles.py) checks that ``parse_bundle`` inverts it on every tree
+the parser accepts.
 
 An explicit ``d=`` is kept as the degree even when it differs from the
 top coefficient; ``ChernVector.degree_consistent`` records whether it
@@ -192,32 +192,6 @@ def _parse_abstract_normal(s: _Scanner) -> AbstractNormalExpr:
     if c[0] != 1:
         raise ParseError(f"c_0 must be 1, got {c[0]}", start)
     return AbstractNormalExpr(r, tuple(c), degree)
-
-
-def print_bundle(tree: BundleExpr) -> str:
-    """The canonical text of ``tree``.
-
-    Nothing in the package calls it; it is the oracle of the parser round
-    trip in tests/test_exprs.py::TestRoundTrip.
-    """
-    if isinstance(tree, LineBundleExpr):
-        return f"O({tree.a})"
-    if isinstance(tree, TangentExpr):
-        return "T"
-    if isinstance(tree, SumExpr):
-        # nested sums keep their grouping parens so parsing them back
-        # reproduces the tree
-        return "+".join(
-            f"({print_bundle(t)})" if isinstance(t, SumExpr) else print_bundle(t)
-            for t in tree.terms
-        )
-    if isinstance(tree, TwistExpr):
-        return f"({print_bundle(tree.sub)})@({tree.t})"
-    if isinstance(tree, AbstractNormalExpr):
-        c_list = ",".join(str(x) for x in tree.c)
-        d_part = f",d={tree.degree}" if tree.degree is not None else ""
-        return f"N{{r={tree.codim},c=[{c_list}]{d_part}}}"
-    raise TypeError(f"not a bundle expression: {tree!r}")
 
 
 def elaborate(tree: BundleExpr, ambient_dim: int) -> ChernVector:

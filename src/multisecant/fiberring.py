@@ -22,7 +22,11 @@ monomial up to sign,
 with common = |S1 & S2|, so ring multiplication never expands.  The
 hyperplane class pulled back from P^n through factor i is H_i = D_i + L,
 and the class of the diagonal where factors i and j agree is
-Delta_(i,j) = D_i + D_j + L.
+Delta_(i,j) = D_i + D_j + L.  This module builds no generator as an
+element: the closed form needs only the scalars and ``hyperplane_power``,
+and the recursion writes its factors as integers.  The generators L, D_i,
+H_i and Delta_(i,j) are the test suite's oracle (``OracleRing`` in
+tests/oracles.py).
 
 Elements are immutable maps from monomials (L-exponent, D-subset bitmask)
 to integer coefficients; normal form is unique, so equality of elements
@@ -146,34 +150,10 @@ class FiberRingElement(Record):
     def __pow__(self, exponent: int) -> "FiberRingElement":
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = FiberRing(self.ambient_dim, self.factors).one()
+        result = FiberRingElement(self.ambient_dim, self.factors, {(0, 0): 1})
         for _ in range(exponent):
             result = result * self
         return result
-
-    def is_zero(self) -> bool:
-        """Whether every coefficient vanishes.  Used by the ring-relation
-        and recursion tests in tests/test_fiberring.py (``TestRelations``,
-        ``TestRecursion::test_trivial_bundle_dies``)."""
-        return not self.terms
-
-    def coefficient(self, l_exponent: int, indices: tuple[int, ...]) -> int:
-        """Coefficient of the normal-form monomial L^l_exponent * prod_{i in indices} D_i.
-
-        A repeated index or an L-exponent outside 0..n-1 names no
-        normal-form monomial and raises ``IndexError``.
-        """
-        if not 0 <= l_exponent < self.ambient_dim:
-            raise IndexError(
-                f"L-exponent {l_exponent} out of range 0..{self.ambient_dim - 1}"
-            )
-        mask = 0
-        for i in indices:
-            _check_index(i, self.factors)
-            if mask >> (i - 1) & 1:
-                raise IndexError(f"factor index {i} repeated: D_{i}^2 is not in normal form")
-            mask |= 1 << (i - 1)
-        return self.terms.get((l_exponent, mask), 0)
 
 
 class FiberRing:
@@ -190,52 +170,8 @@ class FiberRing:
     def _element(self, terms: dict) -> FiberRingElement:
         return FiberRingElement(self.ambient_dim, self.factors, terms)
 
-    def zero(self) -> FiberRingElement:
-        return self._element({})
-
-    def one(self) -> FiberRingElement:
-        return self._element({(0, 0): 1})
-
     def scalar(self, c) -> FiberRingElement:
         return self._element({(0, 0): c} if c != 0 else {})
-
-    def l_class(self) -> FiberRingElement:
-        """L, the pullback of the hyperplane class of Q = P^(n-1)."""
-        if self.ambient_dim == 1:
-            return self.zero()
-        return self._element({(1, 0): 1})
-
-    def exceptional(self, i: int) -> FiberRingElement:
-        """D_i, the tautological class on the i-th factor."""
-        _check_index(i, self.factors)
-        return self._element({(0, 1 << (i - 1)): 1})
-
-    def hyperplane_class(self, i: int) -> FiberRingElement:
-        """H_i = D_i + L, the hyperplane of P^n through the i-th projection.
-
-        The closed form uses ``hyperplane_power``; this sum of generators
-        is the independent oracle ``TestRelations::test_hyperplane_power_collapse``
-        in tests/test_fiberring.py compares it with.
-        """
-        _check_index(i, self.factors)
-        return self.exceptional(i) + self.l_class()
-
-    def diagonal_class(self, i: int, j: int) -> FiberRingElement:
-        """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree.
-
-        The recursion writes N = -sum_(j<t) Delta_(j,t) as integers, so
-        only tests/test_fiberring.py uses this: ``TestRelations`` checks
-        its relations and ``TestFormKernel`` builds N from it to check the
-        recursion's integers.
-        """
-        if i == j:
-            raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
-        _check_index(i, self.factors)
-        _check_index(j, self.factors)
-        terms: dict[Monomial, int] = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
-        if self.ambient_dim > 1:  # L = 0 on P^1
-            terms[(1, 0)] = 1
-        return self._element(terms)
 
     def hyperplane_power(self, i: int, exponent: int) -> FiberRingElement:
         """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1.
@@ -248,7 +184,7 @@ class FiberRing:
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
         if exponent == 0:
-            return self.one()
+            return self.scalar(1)
         n = self.ambient_dim
         terms: dict[Monomial, int] = {}
         if exponent - 1 < n:
@@ -256,15 +192,6 @@ class FiberRing:
         if exponent < n:
             terms[(exponent, 0)] = 1
         return self._element(terms)
-
-    def top_monomial(self) -> FiberRingElement:
-        """L^(n-1) * D_1 ... D_f, the fundamental-class monomial.
-
-        ``integrate`` reads this monomial's coefficient directly; the
-        normalization test ``TestRingAxioms::test_integrate_normalization``
-        in tests/test_fiberring.py builds it here to check that reading.
-        """
-        return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
 
 
 def integrate(x: FiberRingElement) -> int:

@@ -146,10 +146,12 @@ def check_jnormal_bundle(
 def check_2normal(cv: ChernVector) -> Verdict:
     """Quadratic normality of X^m in P^n with normal data ``cv``:
     c_r(N(-2)) != 0 and 6r <= m-4, where r = ``cv.codim`` and m = n - r."""
-    r = cv.codim
-    m = cv.ambient_dim - r
+    n, r = cv.ambient_dim, cv.codim
+    m = n - r
     if m < 1:
-        raise HypothesisError(f"parameters must be positive: m={m}, r={r}")
+        raise HypothesisError(
+            f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
+        )
     value = top_chern_twisted(cv, -2)
     hyps = (
         _nonzero("twisted_top_chern_nonzero", "c_r(N(-2)) != 0", value),

@@ -5,11 +5,13 @@ through a generic external point, computed as the product
 
     deg Sigma_(j+1) = (1 / (j+1)!) * prod_{i=0..j} c_r(E(-i)),
 
-together with the trisecant specialization, the double-point expansion
-and the expansion bookkeeping around them.  Degrees are
-returned as exact rationals: the product formula computes a virtual
-class, and a non-integral or zero value is meaningful (improper dimension)
-rather than an error, so callers get flags instead of exceptions.
+together with the trisecant specialization and the expansion
+bookkeeping around it.  Degrees are returned as exact rationals: the
+product formula computes a virtual class, and a non-integral or zero
+value is meaningful (improper dimension) rather than an error, so callers
+get flags instead of exceptions.  The double-point expansion
+d - c_(r-1) + c_(r-2) - ..., an independent route to c_r(N(-1)), lives
+with the test suite's oracles (tests/oracles.py).
 
 The goettsche_* functions keep a printed pair of expansions for the (b)
 and (c) terms of the trisecant count alongside their reduced closed
@@ -48,23 +50,6 @@ def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
     factors = tuple(top_chern_twisted(e, -i) for i in range(j + 1))
     value = Fraction(math.prod(factors), math.factorial(j + 1))
     return SecantDegree(value, factors, value == 0, value.denominator == 1)
-
-
-def double_point_expansion(cv: ChernVector) -> int:
-    """The alternating sum d - c_(r-1) + c_(r-2) - ... from the
-    double-point formula for a generic projection.
-
-    Equals c_r(N(-1)) whenever the degree is self-consistent; this is the
-    independent route to the twisted top Chern class, and nothing in the
-    package calls it: it is the oracle of
-    tests/test_acceptance.py::test_criterion_06_bisecant and of
-    tests/test_secants.py::TestDoublePointExpansion.
-    """
-    r = cv.codim
-    total = cv.degree  # i = r term, with c_r read as d
-    for i in range(r):
-        total += (-1) ** (r - i) * cv.c[i]
-    return total
 
 
 def trisecant_closed(cv: ChernVector) -> Fraction:

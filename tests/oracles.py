@@ -1,0 +1,120 @@
+"""Independent oracles the tests check the package against.
+
+Nothing in ``src/`` can import this module, so the code under test never
+calls the oracle that checks it.  The name has no ``test_`` prefix, so
+pytest does not collect it.
+
+* ``print_bundle``: the canonical text of a parsed tree, for the parser
+  round trip.
+* ``double_point_expansion``: d - c_(r-1) + c_(r-2) - ..., a second route
+  to c_r(N(-1)).
+* ``OracleRing``: the fiber ring with its generators L, D_i, H_i and
+  Delta_(i,j) as elements, which the package writes only as integers.
+* ``coefficient``: one coefficient of a fiber-ring element, with the
+  normal-form checks on its monomial.
+"""
+
+from multisecant.exprs import (
+    AbstractNormalExpr,
+    BundleExpr,
+    LineBundleExpr,
+    SumExpr,
+    TangentExpr,
+    TwistExpr,
+)
+from multisecant.fiberring import FiberRing, FiberRingElement, _check_index
+
+
+def print_bundle(tree: BundleExpr) -> str:
+    """The canonical text of ``tree``: twist targets are parenthesized,
+    and so is a sum nested in a sum, so that parsing the text back gives
+    ``tree`` again."""
+    if isinstance(tree, LineBundleExpr):
+        return f"O({tree.a})"
+    if isinstance(tree, TangentExpr):
+        return "T"
+    if isinstance(tree, SumExpr):
+        return "+".join(
+            f"({print_bundle(t)})" if isinstance(t, SumExpr) else print_bundle(t)
+            for t in tree.terms
+        )
+    if isinstance(tree, TwistExpr):
+        return f"({print_bundle(tree.sub)})@({tree.t})"
+    if isinstance(tree, AbstractNormalExpr):
+        c_list = ",".join(str(x) for x in tree.c)
+        d_part = f",d={tree.degree}" if tree.degree is not None else ""
+        return f"N{{r={tree.codim},c=[{c_list}]{d_part}}}"
+    raise TypeError(f"not a bundle expression: {tree!r}")
+
+
+def double_point_expansion(cv) -> int:
+    """The alternating sum d - c_(r-1) + c_(r-2) - ... from the
+    double-point formula for a generic projection.
+
+    Equals c_r(N(-1)) whenever the degree is self-consistent.
+    """
+    r = cv.codim
+    total = cv.degree  # i = r term, with c_r read as d
+    for i in range(r):
+        total += (-1) ** (r - i) * cv.c[i]
+    return total
+
+
+class OracleRing(FiberRing):
+    """``FiberRing`` plus its generators as elements."""
+
+    def zero(self) -> FiberRingElement:
+        return self._element({})
+
+    def one(self) -> FiberRingElement:
+        return self._element({(0, 0): 1})
+
+    def l_class(self) -> FiberRingElement:
+        """L, the pullback of the hyperplane class of Q = P^(n-1)."""
+        if self.ambient_dim == 1:
+            return self.zero()
+        return self._element({(1, 0): 1})
+
+    def exceptional(self, i: int) -> FiberRingElement:
+        """D_i, the tautological class on the i-th factor."""
+        _check_index(i, self.factors)
+        return self._element({(0, 1 << (i - 1)): 1})
+
+    def hyperplane_class(self, i: int) -> FiberRingElement:
+        """H_i = D_i + L, the hyperplane of P^n through the i-th
+        projection, as a sum of generators (``hyperplane_power`` writes
+        its powers in closed form)."""
+        return self.exceptional(i) + self.l_class()
+
+    def diagonal_class(self, i: int, j: int) -> FiberRingElement:
+        """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree."""
+        if i == j:
+            raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
+        _check_index(i, self.factors)
+        _check_index(j, self.factors)
+        terms = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
+        if self.ambient_dim > 1:  # L = 0 on P^1
+            terms[(1, 0)] = 1
+        return self._element(terms)
+
+    def top_monomial(self) -> FiberRingElement:
+        """L^(n-1) * D_1 ... D_f, the monomial ``integrate`` sends to 1."""
+        return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
+
+
+def coefficient(x: FiberRingElement, l_exponent: int, indices: tuple[int, ...]) -> int:
+    """Coefficient in ``x`` of the normal-form monomial
+    L^l_exponent * prod_{i in indices} D_i.
+
+    A repeated index or an L-exponent outside 0..n-1 names no normal-form
+    monomial and raises ``IndexError``.
+    """
+    if not 0 <= l_exponent < x.ambient_dim:
+        raise IndexError(f"L-exponent {l_exponent} out of range 0..{x.ambient_dim - 1}")
+    mask = 0
+    for i in indices:
+        _check_index(i, x.factors)
+        if mask >> (i - 1) & 1:
+            raise IndexError(f"factor index {i} repeated: D_{i}^2 is not in normal form")
+        mask |= 1 << (i - 1)
+    return x.terms.get((l_exponent, mask), 0)

@@ -25,22 +25,23 @@ import random
 import time
 from fractions import Fraction
 
-from multisecant import (
+from multisecant.bundles import (
     ChernVector,
     complete_intersection_bundle,
-    double_point_expansion,
-    goettsche_b_reduced,
     line_bundle,
-    multisecant_report,
-    ran_min_ambient_dim,
-    secant_count_via_ring,
-    jnormal_min_ambient_dim,
     top_chern_twisted,
+)
+from multisecant.combinat import wedge_resolution_sum_shifted
+from multisecant.fiberring import secant_count_via_ring
+from multisecant.normality import jnormal_min_ambient_dim, ran_min_ambient_dim
+from multisecant.secants import (
+    goettsche_b_reduced,
+    multisecant_report,
     trisecant_closed,
     trisecant_double_sum,
-    wedge_resolution_sum_shifted,
 )
 from multisecant.verify import oracle_grid, run_suite
+from oracles import double_point_expansion
 
 SEED = 20240801
 

@@ -121,6 +121,14 @@ def test_bad_ranges():
         enumerate_rows(2, (3, 2), (3, 5), 1)
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_j_below_one_is_refused_up_front(j):
+    # a census row needs j >= 1; the check comes before the row count, so
+    # a sweep past the row cap is refused for its j
+    with pytest.raises(ValueError, match=f"^j must be >= 1, got {j}$"):
+        enumerate_rows(3, (1, 100_000), (4, 4), j)
+
+
 @pytest.mark.parametrize("cap, allowed", [(9, True), (8, False)])
 def test_row_cap_is_checked_at_the_boundary(cap, allowed, monkeypatch):
     # 3 values of n times C(2+2-1, 2) = 3 degree pairs: 9 rows

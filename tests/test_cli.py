@@ -144,6 +144,25 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normality", "--n", "2", "--j", "2", "N{r=2,c=[1,6,9]}"],
+             "ambient dimension 2 leaves no positive-dimensional X for rank 2"),
+            (["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "-1",
+              "--out", "c.csv"], "j must be >= 1, got -1"),
+            (["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "0",
+              "--out", "c.csv"], "j must be >= 1, got 0"),
+        ],
+        ids=["normality-n-at-r", "census-j-negative", "census-j-zero"],
+    )
+    def test_errors_name_only_given_values(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, text = run(argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.csv").exists()
+
     def test_census_into_missing_directory_is_usage(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code, text = run(
@@ -271,9 +290,26 @@ class TestImportGraph:
 
     def test_chern(self, tmp_path):
         loaded = _loaded(["chern", "--n", "4", "O(2)+O(2)"], tmp_path)
-        assert "multisecant.exprs" in loaded
-        unused = {"fiberring", "verify", "census", "normality", "secants"}
+        # classpoly renders the total Chern class; binomials come from math.comb
+        assert {"multisecant.exprs", "multisecant.classpoly"} <= loaded
+        unused = {"fiberring", "verify", "census", "normality", "secants", "combinat"}
         assert not loaded & ({f"multisecant.{m}" for m in unused} | {"json", "logging"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["secants", "--n", "4", "--j", "1", "T"],
+            ["segre", "--n", "4", "--k", "2", "(O(1)+O(2))@(1)"],
+            ["normality", "--n", "8", "--j", "2", "(N{r=2,c=[1,4,4]})@(1)"],
+            ["trisecant", "--n", "4", "T"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_expression_commands_load_no_classpoly_or_combinat(self, argv, tmp_path):
+        # each argv twists or builds T, the two users of binomials in bundles
+        loaded = _loaded(argv, tmp_path)
+        assert "multisecant.bundles" in loaded
+        assert not loaded & {"multisecant.classpoly", "multisecant.combinat"}
 
     def test_verify(self, tmp_path):
         loaded = _loaded(["verify", "--suite", "cterm", "--trials", "1"], tmp_path)
@@ -328,15 +364,6 @@ class TestImportGraph:
         assert not loaded & {"multisecant.verify", "multisecant.fiberring"}
         # rows are tuples, and logging is set up only when MULTISECANT_LOG asks
         assert not loaded & {"dataclasses", "inspect", "ast", "logging"}
-
-    def test_package_names_are_read_through(self):
-        # not cached on the package, so a function the benchmark tracer
-        # wraps in its module, and later restores, is never seen stale
-        import multisecant
-        from multisecant import bundles
-
-        assert multisecant.twist is bundles.twist
-        assert "twist" not in vars(multisecant)
 
     def test_suite_names_match_the_suites(self):
         from multisecant import cli, verify

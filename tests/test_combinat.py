@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from multisecant import (
+from multisecant import combinat
+from multisecant.combinat import (
     binomial,
-    combinat,
     koszul_rank_identity,
     wedge_resolution_sum_shifted,
     wedge_resolution_sum_unit,

@@ -5,15 +5,8 @@ import io
 import pytest
 from hypothesis import example, given, strategies as st
 
-from multisecant import (
-    ParseError,
-    complete_intersection_bundle,
-    elaborate,
-    parse_bundle,
-    print_bundle,
-    tangent_bundle,
-    twist,
-)
+from multisecant.bundles import complete_intersection_bundle, tangent_bundle, twist
+from multisecant.errors import ParseError
 from multisecant.cli import run_command
 from multisecant.exprs import (
     MAX_NESTING,
@@ -22,7 +15,10 @@ from multisecant.exprs import (
     SumExpr,
     TangentExpr,
     TwistExpr,
+    elaborate,
+    parse_bundle,
 )
+from oracles import print_bundle
 
 # longer than Python's default 4,300-digit limit on int(str)
 LONG_LITERAL = "O(" + "9" * 5000 + ")"

@@ -3,18 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from multisecant import (
-    ChernVector,
-    HypothesisError,
+from multisecant.bundles import ChernVector, complete_intersection_bundle
+from multisecant.errors import HypothesisError
+from multisecant.normality import (
     check_2normal,
     check_jnormal_bundle,
     check_jnormal_general,
     check_linear_normality_zak,
-    complete_intersection_bundle,
     jnormal_min_ambient_dim,
-    multisecant_report,
     ran_min_ambient_dim,
 )
+from multisecant.secants import multisecant_report
 
 
 class TestJnormalGeneral:
@@ -107,7 +106,9 @@ class TestTwoNormal:
         assert bound.satisfied is holds
 
     def test_no_positive_dimensional_x_is_rejected(self):
-        with pytest.raises(HypothesisError):
+        # in terms of the n and r the data gives, as check_jnormal_bundle says it
+        message = "^ambient dimension 2 leaves no positive-dimensional X for rank 2$"
+        with pytest.raises(HypothesisError, match=message):
             check_2normal(ChernVector.make(2, [1, 6, 9]))
 
 

@@ -1,25 +1,30 @@
-"""Every exported name and public method has a caller outside the tests,
-or a stated reason.
+"""Every public name of the package and every public method has a caller
+outside the tests, or a stated reason.
 
-A name in ``multisecant.__all__`` passes when one of these holds:
+The walk covers each submodule of ``multisecant``.  A public function or
+class counts when the submodule defines it (its ``__module__`` is the
+submodule), not when it only imports it.  Such a name passes when one of
+these holds:
 
-* some module of the package other than ``__init__.py`` refers to it
-  outside its own definition;
+* some module of the package refers to it outside its own definition;
 * the benchmark tracer (``perfbench/tracing.py``) refers to it, so
   dropping it is a benchmark change;
-* it is in ``ALLOWED`` below, which says which test uses it as an
-  independent oracle or which ROADMAP item will give it a caller.
+* it is in ``ALLOWED`` below, which says which ROADMAP item will give it
+  a caller.
 
-A public method or property of an exported class (dunders excluded) passes
+A public method or property of such a class (dunders excluded) passes
 the same way, with ``ALLOWED_METHODS`` as its allowlist; only attribute
 accesses count as a use, so a local variable of the same name does not.
 
 References are read from the syntax tree, so a name that only appears in
-a docstring or a comment does not count.
+a docstring or a comment does not count.  Oracles that only the tests
+use live in ``tests/oracles.py``, which the package cannot import.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import multisecant
@@ -29,37 +34,18 @@ PACKAGE = ROOT / "src" / "multisecant"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 ALLOWED = {
-    "double_point_expansion": "oracle: tests/test_acceptance.py::test_criterion_06_bisecant",
-    "print_bundle": "oracle: tests/test_exprs.py parser round trip",
     "ran_min_ambient_dim": "ROADMAP item 3 (bound reductions as checked identities)",
     "jnormal_min_ambient_dim": "ROADMAP item 3 (bound reductions as checked identities)",
 }
 
 ALLOWED_METHODS = {
     "ChernVector.degree_consistent": "ROADMAP item 6 (make the consistency promise real)",
-    "FiberRing.diagonal_class": (
-        "oracle: tests/test_fiberring.py TestRelations (the diagonal tests) and "
-        "TestFormKernel"
-    ),
-    "FiberRing.hyperplane_class": (
-        "oracle: tests/test_fiberring.py::TestRelations::test_hyperplane_power_collapse"
-    ),
-    "FiberRing.top_monomial": (
-        "oracle: tests/test_fiberring.py::TestRingAxioms::test_integrate_normalization"
-    ),
-    "FiberRingElement.is_zero": (
-        "oracle: tests/test_fiberring.py TestRelations and "
-        "TestRecursion::test_trivial_bundle_dies"
-    ),
-    "FiberRingElement.coefficient": (
-        "oracle: tests/test_fiberring.py test_coefficient_index_bounds and "
-        "test_coefficient_rejects_non_normal_monomials"
-    ),
-    "TruncatedClassPoly.coefficient": (
-        "oracle: tests/test_bundles.py (test_tangent_top_coefficient, "
-        "test_duality_with_polynomial_route) and tests/test_classpoly.py"
-    ),
 }
+
+MODULES = [
+    importlib.import_module(f"multisecant.{info.name}")
+    for info in pkgutil.iter_modules(multisecant.__path__)
+]
 
 
 def _references(
@@ -89,20 +75,30 @@ def _references(
 
 def _used_in_package(name: str, attributes_only: bool = False) -> bool:
     for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         if name in _references(tree, skip_definition_of=name, attributes_only=attributes_only):
             return True
     return False
 
 
+def _public_names() -> dict[str, object]:
+    """Each public function and class a submodule defines, by name."""
+    found = {}
+    for module in MODULES:
+        for name, value in vars(module).items():
+            if name.startswith("_"):
+                continue
+            if inspect.isfunction(value) or inspect.isclass(value):
+                if value.__module__ == module.__name__:
+                    found[name] = value
+    return found
+
+
 def _public_methods() -> dict[str, str]:
     """``Class.attr`` -> ``attr`` for each public method, classmethod,
-    staticmethod and property that an exported class defines."""
+    staticmethod and property that a public class defines."""
     found = {}
-    for name in sorted(multisecant.__all__):
-        cls = getattr(multisecant, name)
+    for name, cls in sorted(_public_names().items()):
         if not inspect.isclass(cls):
             continue
         for attr, value in vars(cls).items():
@@ -124,18 +120,20 @@ TRACED = _references(ast.parse(TRACING.read_text()))
 def test_every_exported_name_has_a_reason():
     unexplained = [
         name
-        for name in sorted(multisecant.__all__)
+        for name in sorted(_public_names())
         if not (_used_in_package(name) or name in TRACED or name in ALLOWED)
     ]
-    # each of these is exported but nothing outside the tests uses it: give
-    # it a caller, delete it, or name its oracle test or ROADMAP item in ALLOWED
+    # each of these is public but nothing outside the tests uses it: give
+    # it a caller, delete it, move a test-only oracle to tests/oracles.py,
+    # or name its ROADMAP item in ALLOWED
     assert unexplained == []
 
 
 def test_allowlist_names_only_exported_test_only_names():
     # an entry whose name gained a caller, or was deleted, must go
+    names = _public_names()
     for name in ALLOWED:
-        assert name in multisecant.__all__
+        assert name in names
         assert not _used_in_package(name) and name not in TRACED
 
 
@@ -146,8 +144,8 @@ def test_every_public_method_has_a_reason():
         if not (_method_used(attr) or qualified in ALLOWED_METHODS)
     ]
     # each of these is a public method nothing outside the tests calls: give
-    # it a caller, delete it, or name its oracle test or ROADMAP item in
-    # ALLOWED_METHODS
+    # it a caller, delete it, move it to a test subclass in tests/oracles.py,
+    # or name its ROADMAP item in ALLOWED_METHODS
     assert unexplained == []
 
 
@@ -156,3 +154,16 @@ def test_method_allowlist_names_only_test_only_methods():
     for qualified in ALLOWED_METHODS:
         assert qualified in methods
         assert not _method_used(methods[qualified])
+
+
+def test_no_package_module_imports_the_oracles():
+    # the oracles stay independent of the code they check
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported
+    assert not imported & {"oracles", "tests", "conftest"}

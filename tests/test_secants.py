@@ -5,22 +5,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from multisecant import (
+from multisecant.bundles import (
     ChernVector,
-    binomial,
     complete_intersection_bundle,
-    double_point_expansion,
+    line_bundle,
+    top_chern_twisted,
+)
+from multisecant.combinat import binomial
+from multisecant.secants import (
     goettsche_a_derived,
     goettsche_b_full,
     goettsche_b_reduced,
     goettsche_c_full,
     goettsche_c_reduced,
-    line_bundle,
     multisecant_report,
-    top_chern_twisted,
     trisecant_closed,
     trisecant_double_sum,
 )
+from oracles import double_point_expansion
 
 
 def chern_vectors(min_codim=1, max_codim=6, bound=9, min_n=None, max_n=30):

@@ -19,7 +19,7 @@ import pytest
 
 from multisecant import verify
 from multisecant.cli import run_command
-from multisecant.fiberring import FiberRing
+from oracles import OracleRing
 
 LEMMA51_NOTE = (
     "note: misprint witness at (n=2, t=1): shifted form gives -2, not the unit "
@@ -32,7 +32,7 @@ def _plus_one(real):
 
 
 def _plus_ring_one(real):
-    return lambda cv, k: real(cv, k) + FiberRing(cv.ambient_dim, k + 1).one()
+    return lambda cv, k: real(cv, k) + OracleRing(cv.ambient_dim, k + 1).one()
 
 
 def _worked_instance_off(real):
