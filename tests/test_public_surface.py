@@ -73,12 +73,14 @@ def _references(
     return found
 
 
+SOURCES = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+
+
 def _used_in_package(name: str, attributes_only: bool = False) -> bool:
-    for path in PACKAGE.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        if name in _references(tree, skip_definition_of=name, attributes_only=attributes_only):
-            return True
-    return False
+    return any(
+        name in _references(tree, skip_definition_of=name, attributes_only=attributes_only)
+        for tree in SOURCES
+    )
 
 
 def _public_names() -> dict[str, object]:
@@ -159,8 +161,8 @@ def test_method_allowlist_names_only_test_only_methods():
 def test_no_package_module_imports_the_oracles():
     # the oracles stay independent of the code they check
     imported = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in SOURCES:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
