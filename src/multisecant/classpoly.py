@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import AmbientMismatchError, NonUnitError, Record
-from .rationals import format_rational
 
 
 class TruncatedClassPoly(Record):
@@ -108,11 +107,11 @@ class TruncatedClassPoly(Record):
             if c == 0:
                 continue
             if k == 0:
-                terms.append((format_rational(c), c < 0))
+                terms.append((str(c), c < 0))
             else:
                 mono = "H" if k == 1 else f"H^{k}"
                 mag = abs(c)
-                body = mono if mag == 1 else f"{format_rational(mag)}*{mono}"
+                body = mono if mag == 1 else f"{mag}*{mono}"
                 terms.append((body, c < 0))
         if not terms:
             return "0"

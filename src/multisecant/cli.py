@@ -12,8 +12,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation hypothesis
 error, 3 verification-suite failure.  All semantics are controlled by
-flags; the only environment variable read is MULTISECANT_LOG (log level).
-Identical argv (and seed) produce byte-identical output.
+flags; no environment variable is read.  Identical argv (and seed)
+produce byte-identical output.  Exact values print with ``str``: an
+integer bare, a ``Fraction`` as "p/q" with q > 0 (or bare when
+integral).
 """
 
 from __future__ import annotations
@@ -126,15 +128,14 @@ def _cmd_chern(args, out) -> int:
 
 
 def _cmd_secants(args, out) -> int:
-    from .rationals import format_rational
     from .secants import multisecant_report
 
     value = _elaborated(args)
     report = multisecant_report(value, args.j)
-    factors = ", ".join(format_rational(f) for f in report.factors)
+    factors = ", ".join(map(str, report.factors))
     out.write(f"secant lines: {args.j + 1}-secants through a generic external point\n")
     out.write(f"twisted top chern factors c_r(E(0))..c_r(E(-{args.j})): {factors}\n")
-    out.write(f"degree: {format_rational(report.value)}\n")
+    out.write(f"degree: {report.value}\n")
     flags = []
     if report.possibly_degenerate:
         flags.append("zero class: locus may have smaller dimension than expected")
@@ -146,14 +147,13 @@ def _cmd_secants(args, out) -> int:
 
 def _cmd_trisecant(args, out) -> int:
     from .bundles import as_chern_vector
-    from .rationals import format_rational
     from .secants import trisecant_closed, trisecant_double_sum
 
     cv = as_chern_vector(_elaborated(args))
     closed = trisecant_closed(cv)
     double = trisecant_double_sum(cv)
-    out.write(f"closed form (1/2)c_r(N(-1))c_r(N(-2)): {format_rational(closed)}\n")
-    out.write(f"expanded double sum:                   {format_rational(double)}\n")
+    out.write(f"closed form (1/2)c_r(N(-1))c_r(N(-2)): {closed}\n")
+    out.write(f"expanded double sum:                   {double}\n")
     if closed != double:
         out.write("equal: no\n")
         raise _CliExit(EXIT_HYPOTHESIS, "trisecant forms disagree")
@@ -207,15 +207,6 @@ def _cmd_verify(args, out) -> int:
 def _cmd_census(args, out) -> int:
     from .census import enumerate_rows, render_csv, render_json
 
-    log = None
-    level = os.environ.get("MULTISECANT_LOG")
-    if level:  # unset, the one log line below is off, so logging is not imported
-        import logging
-
-        # a level name maps to its number; anything else to "Level <name>"
-        number = logging.getLevelName(level.upper())
-        logging.basicConfig(level=number if isinstance(number, int) else logging.WARNING)
-        log = logging.getLogger("multisecant")
     rows = enumerate_rows(args.r, args.degrees, args.n, args.j)
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     try:
@@ -223,8 +214,6 @@ def _cmd_census(args, out) -> int:
             fh.write(text)
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
-    if log is not None:
-        log.info("census: %d rows", len(rows))
     out.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_OK
 

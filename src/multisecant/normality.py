@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .bundles import ChernVector, top_chern_twisted
 from .errors import HypothesisError, Record
-from .rationals import format_rational
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -35,7 +34,7 @@ class Hypothesis(Record):
         def side(v) -> str:
             if isinstance(v, bool):
                 return "yes" if v else "no"
-            return format_rational(v)
+            return str(v)
 
         return side(self.left), side(self.right)
 
@@ -67,6 +66,17 @@ def _secant_bounds(m: int, r: int, j: int) -> tuple[Hypothesis, Hypothesis]:
             "intersection_bound", "(j+1)((r+1)j-1) <= m-1", (j + 1) * ((r + 1) * j - 1), m - 1
         ),
     )
+
+
+def _dimensions(e: ChernVector) -> tuple[int, int]:
+    """(m, r) for X^m in P^n cut out with normal data ``e`` of rank r:
+    m = n - r, which must be positive."""
+    n, r = e.ambient_dim, e.codim
+    if n - r < 1:
+        raise HypothesisError(
+            f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
+        )
+    return n - r, r
 
 
 def check_jnormal_general(
@@ -117,12 +127,7 @@ def check_jnormal_bundle(
     """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
-    n, r = e.ambient_dim, e.codim
-    m = n - r
-    if m < 1:
-        raise HypothesisError(
-            f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
-        )
+    m, r = _dimensions(e)
     if factors is None:
         factors = [top_chern_twisted(e, -i) for i in range(j + 1)]
     hyps = [
@@ -132,7 +137,7 @@ def check_jnormal_bundle(
     hyps += _secant_bounds(m, r, j)
     untwisted = factors[0]
     note = (
-        f"c_r(E) = {format_rational(untwisted)} "
+        f"c_r(E) = {untwisted} "
         + (
             "(nonzero; the untwisted factor of the secant product)"
             if untwisted != 0
@@ -146,12 +151,7 @@ def check_jnormal_bundle(
 def check_2normal(cv: ChernVector) -> Verdict:
     """Quadratic normality of X^m in P^n with normal data ``cv``:
     c_r(N(-2)) != 0 and 6r <= m-4, where r = ``cv.codim`` and m = n - r."""
-    n, r = cv.ambient_dim, cv.codim
-    m = n - r
-    if m < 1:
-        raise HypothesisError(
-            f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
-        )
+    m, r = _dimensions(cv)
     value = top_chern_twisted(cv, -2)
     hyps = (
         _nonzero("twisted_top_chern_nonzero", "c_r(N(-2)) != 0", value),

@@ -1,11 +1,11 @@
-"""Serialization of exact rationals.
+"""Serialization of exact rationals, kept only for the benchmark tracer.
 
-Every number that leaves the library (CLI output, CSV, JSON) goes through
-``format_rational``: integers print bare ("4", "-3") and proper fractions
-print as "p/q" with q > 0.  No value is ever rendered through floating
-point.  A ``Fraction`` is read through its ``numerator`` and
-``denominator``, so this module never imports ``fractions``: only the
-layers that divide do.
+``format_rational`` prints an integer bare ("4", "-3") and a fraction as
+"p/q" with q > 0, which is exactly what ``str`` does for an ``int`` or a
+``Fraction``, so every command prints its values with ``str`` and nothing
+in the package calls this function or imports this module.  It stays
+only because ``perfbench/tracing.py`` imports it and wraps
+``format_rational`` by name; it goes with ROADMAP items 8a and 13.
 """
 
 from __future__ import annotations

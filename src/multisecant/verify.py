@@ -31,7 +31,6 @@ from .combinat import (
 )
 from .errors import Record
 from .fiberring import closed_form_top_chern, recursion_top_chern
-from .rationals import format_rational
 from .secants import (
     goettsche_b_full,
     goettsche_b_reduced,
@@ -249,7 +248,7 @@ def run_bterm_experiment(trials: int, seed: int) -> SuiteReport:
         matches += verdict == "match"
         report.add(
             f"[case {idx:02d}] n={cv.ambient_dim} r={cv.codim} c={cv.c}: "
-            f"full={format_rational(full)} reduced={format_rational(reduced)} {verdict}"
+            f"full={full} reduced={reduced} {verdict}"
         )
     report.add(f"summary: {matches}/{trials} match, {trials - matches}/{trials} mismatch")
     report.add("report complete; the comparison is observational")

@@ -140,6 +140,16 @@ def test_row_cap_is_checked_at_the_boundary(cap, allowed, monkeypatch):
             enumerate_rows(2, (2, 3), (3, 5), 1)
 
 
+@pytest.mark.parametrize("cap, allowed", [(2, True), (1, False)])
+def test_codimension_cap_is_checked_at_the_boundary(cap, allowed, monkeypatch):
+    monkeypatch.setattr(census, "MAX_CODIM", cap)
+    if allowed:
+        assert len(enumerate_rows(2, (2, 3), (3, 5), 1)) == 9
+    else:
+        with pytest.raises(HypothesisError, match="^census codimension 2 exceeds the limit of 1$"):
+            enumerate_rows(2, (2, 3), (3, 5), 1)
+
+
 @pytest.mark.parametrize(
     "r, degree_range, ambient_range",
     [(3, (1, 100_000), (4, 4)), (1, (1, 10**4000), (2, 2)), (40, (0, 1), (41, 10**6))],
