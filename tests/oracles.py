@@ -8,8 +8,9 @@ pytest does not collect it.
   round trip.
 * ``double_point_expansion``: d - c_(r-1) + c_(r-2) - ..., a second route
   to c_r(N(-1)).
-* ``OracleRing``: the fiber ring with its generators L, D_i, H_i and
-  Delta_(i,j) as elements, which the package writes only as integers.
+* ``OracleRing``: a factory for fiber-ring elements: scalars, the
+  generators L, D_i, H_i and Delta_(i,j), and H_i^m, which the package
+  writes only as integers or, in the closed form, as its normal form.
 * ``coefficient``: one coefficient of a fiber-ring element, with the
   normal-form checks on its monomial.
 """
@@ -22,7 +23,7 @@ from multisecant.exprs import (
     TangentExpr,
     TwistExpr,
 )
-from multisecant.fiberring import FiberRing, FiberRingElement, _check_index
+from multisecant.fiberring import FiberRingElement
 
 
 def print_bundle(tree: BundleExpr) -> str:
@@ -60,8 +61,28 @@ def double_point_expansion(cv) -> int:
     return total
 
 
-class OracleRing(FiberRing):
-    """``FiberRing`` plus its generators as elements."""
+def _check_index(i: int, factors: int):
+    if not 1 <= i <= factors:
+        raise IndexError(f"factor index {i} out of range 1..{factors}")
+
+
+class OracleRing:
+    """Elements of H*((T/Q)^factors) over P^ambient_dim, built from the
+    generators with the package's general ``__mul__`` and ``__add__``."""
+
+    def __init__(self, ambient_dim: int, factors: int):
+        if ambient_dim < 1:
+            raise ValueError("ambient dimension must be >= 1")
+        if factors < 1:
+            raise ValueError("need at least one factor")
+        self.ambient_dim = ambient_dim
+        self.factors = factors
+
+    def _element(self, terms: dict) -> FiberRingElement:
+        return FiberRingElement(self.ambient_dim, self.factors, terms)
+
+    def scalar(self, c) -> FiberRingElement:
+        return self._element({(0, 0): c} if c != 0 else {})
 
     def zero(self) -> FiberRingElement:
         return self._element({})
@@ -85,6 +106,21 @@ class OracleRing(FiberRing):
         projection, as a sum of generators (``hyperplane_power`` writes
         its powers in closed form)."""
         return self.exceptional(i) + self.l_class()
+
+    def hyperplane_power(self, i: int, exponent: int) -> FiberRingElement:
+        """H_i^m in closed form: L^(m-1) * (D_i + L) for m >= 1."""
+        _check_index(i, self.factors)
+        if exponent < 0:
+            raise ValueError("negative powers are not defined here")
+        if exponent == 0:
+            return self.one()
+        n = self.ambient_dim
+        terms = {}
+        if exponent - 1 < n:
+            terms[(exponent - 1, 1 << (i - 1))] = 1
+        if exponent < n:
+            terms[(exponent, 0)] = 1
+        return self._element(terms)
 
     def diagonal_class(self, i: int, j: int) -> FiberRingElement:
         """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree."""

@@ -1,5 +1,6 @@
 """Bundle construction, twisting, top Chern values, Segre coefficients."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -87,6 +88,16 @@ class TestConstructors:
         e = complete_intersection_bundle(n, degrees)
         assert e == folded
         assert all(type(c) is int for c in e.total_chern.coeffs)
+        # c_k is the k-th elementary symmetric function of the degrees, 0 past H^n
+        elementary = [
+            sum(math.prod(s) for s in itertools.combinations(degrees, k)) if k <= n else 0
+            for k in range(len(degrees) + 1)
+        ]
+        assert e.c == tuple(elementary)
+
+    def test_complete_intersection_needs_a_degree(self):
+        with pytest.raises(ValueError, match="need at least one degree"):
+            complete_intersection_bundle(4, [])
 
     def test_tangent_bundle(self):
         assert tangent_bundle(2).total_chern == TruncatedClassPoly.from_coeffs(2, [1, 3, 3])

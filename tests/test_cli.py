@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from multisecant import cli
 from multisecant.cli import run_command
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -237,6 +238,8 @@ class TestLimits:
             (HUGE_CENSUS, "census exceeds the limit of 100000 rows"),
             (["census", "--r", "21", "--degrees", "1..1", "--n", "22..22", "--j", "1",
               "--out", "c.csv"], "census codimension 21 exceeds the limit of 20"),
+            (["verify", "--suite", "bterm-experiment", "--trials", "100001"],
+             "--trials 100001 exceeds the limit 100000"),
         ],
     )
     def test_past_the_limit_is_computational(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -244,6 +247,17 @@ class TestLimits:
         assert run(argv) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("cap, allowed", [(3, True), (2, False)])
+    def test_trials_cap_is_checked_at_the_boundary(self, cap, allowed, monkeypatch, capsys):
+        # the real cap of 100,000 trials takes seconds to run, so lower it
+        monkeypatch.setattr(cli, "MAX_TRIALS", cap)
+        code, text = run(["verify", "--suite", "cterm", "--trials", "3"])
+        if allowed:
+            assert code == 0 and text.endswith("suite cterm: PASS\n")
+        else:
+            assert (code, text) == (2, "")
+            assert capsys.readouterr().err == "error: --trials 3 exceeds the limit 2\n"
 
     def test_huge_census_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
         # about 1.7e14 rows: refused from the count alone, in well under a second

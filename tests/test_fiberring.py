@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -10,8 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multisecant import fiberring
-from multisecant.bundles import ChernVector, complete_intersection_bundle, line_bundle
+from multisecant import fiberring, verify
+from multisecant.bundles import (
+    ChernVector,
+    complete_intersection_bundle,
+    line_bundle,
+    top_chern_twisted,
+)
 from multisecant.errors import AmbientMismatchError, HypothesisError
 from multisecant.fiberring import (
     closed_form_top_chern,
@@ -253,6 +259,73 @@ class TestRecursion:
                         new_mask |= 1 << (mapping[i] - 1)
                 permuted[(e, new_mask)] = c
             assert permuted == dict(base.terms)
+
+
+class TestClosedForm:
+    """``closed_form_top_chern`` writes prod_i c_r(E(-i)) * prod_i H_i^r in
+    normal form; the product itself, built with ``OracleRing``, is the
+    oracle.  The class has a term L^((k+1)r-s) * D_S for each subset S of
+    size s with (k+1)r - s < n, all with the scalar as coefficient."""
+
+    @staticmethod
+    def check(cv, k) -> int:
+        n, r = cv.ambient_dim, cv.codim
+        ring = OracleRing(n, k + 1)
+        scalar = math.prod(top_chern_twisted(cv, -i) for i in range(k + 1))
+        product = ring.scalar(scalar)
+        for i in range(1, k + 2):
+            product = product * ring.hyperplane_power(i, r)
+        closed = closed_form_top_chern(cv, k)
+        assert closed == product
+        count = sum(math.comb(k + 1, s) for s in range(k + 2) if (k + 1) * r - s < n)
+        assert len(closed.terms) == (count if scalar else 0)
+        assert set(closed.terms.values()) <= {scalar}
+        return scalar
+
+    def test_every_oracle_grid_cell(self):
+        rng = random.Random(18)
+        grid = verify.oracle_grid()
+        nonzero = 0
+        for n, r, k in grid:
+            cv = ChernVector.make(n, [1] + [rng.randint(-5, 5) for _ in range(r)])
+            nonzero += self.check(cv, k) != 0
+        assert nonzero > len(grid) // 2
+
+    @pytest.mark.parametrize(
+        "n, c, k",
+        [
+            (1, [1, 3], 0),  # L = 0: only L^0 * D_1 survives
+            (1, [1, 7], 3),  # ... and no term at all once k > 0
+            (1, [1, 2, 5], 1),  # r > n
+            (2, [1, 4], 1),  # n = (k+1)r
+            (4, [1, 2, 7], 1),  # n = (k+1)r, r = 2
+            (5, [1, -1, 4], 2),  # (k+1)r = 6 > n
+            (3, [1, 1, 1, 2], 3),  # (k+1)r - (k+1) = 8 >= n: every term vanishes
+        ],
+    )
+    def test_truncating_shapes(self, n, c, k):
+        cv = ChernVector.make(n, c)
+        assert n <= (k + 1) * cv.codim
+        assert self.check(cv, k) != 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "cv", [ChernVector.make(6, [1, 3, 2]), line_bundle(5, 1)], ids=["abstract", "O(1)"]
+    )
+    def test_vanishing_factor(self, cv, k):
+        # c_r(E(-1)) = 0: for [1, 3, 2] it is 1 - 3 + 2, for O(1) it is 1 - 1
+        assert top_chern_twisted(cv, -1) == 0
+        assert self.check(cv, k) == 0
+
+    def test_multiplies_no_elements(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("the closed form called __mul__")
+
+        monkeypatch.setattr(fiberring.FiberRingElement, "__mul__", refuse)
+        assert closed_form_top_chern(ChernVector.make(5, [1, 2, 3]), 2).terms
+
+    def test_oracle_ring_subclasses_nothing_from_the_package(self):
+        assert OracleRing.__mro__ == (OracleRing, object)
 
 
 class TestAgainstGroebnerOracle:

@@ -89,13 +89,13 @@ def _references(
     return found
 
 
-SOURCES = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+SOURCES = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
 
 def _used_in_package(name: str, attributes_only: bool = False) -> bool:
     return any(
         name in _references(tree, skip_definition_of=name, attributes_only=attributes_only)
-        for tree in SOURCES
+        for tree in SOURCES.values()
     )
 
 
@@ -196,7 +196,7 @@ def test_method_allowlist_names_only_test_only_methods():
 def test_no_package_module_imports_the_oracles():
     # the oracles stay independent of the code they check
     imported = set()
-    for tree in SOURCES:
+    for tree in SOURCES.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
@@ -204,3 +204,20 @@ def test_no_package_module_imports_the_oracles():
                 imported.add(node.module.partition(".")[0])
     assert imported
     assert not imported & {"oracles", "tests", "conftest"}
+
+
+def test_every_import_is_used():
+    # the lint step: each name a module imports, outside __future__, is
+    # used in that module (a leftover import still costs every command that
+    # loads the module)
+    unused = []
+    for filename, tree in sorted(SOURCES.items()):
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{filename}: {name}" for name in sorted(imported - used)]
+    assert unused == []
