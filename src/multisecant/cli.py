@@ -199,11 +199,11 @@ def _cmd_verify(args, out) -> int:
     from .verify import run_suite
 
     try:
-        report = run_suite(args.suite, args.trials, args.seed)
+        passed, lines = run_suite(args.suite, args.trials, args.seed)
     except ValueError as exc:
         raise _CliExit(EXIT_USAGE, f"error: {exc}")
-    out.write("\n".join(report.lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_SUITE_FAILURE
+    out.write("\n".join(lines) + "\n")
+    return EXIT_OK if passed else EXIT_SUITE_FAILURE
 
 
 def _cmd_census(args, out) -> int:

@@ -46,11 +46,11 @@ class Record:
     ``census.CensusRow`` is a named tuple of the CSV columns, whose
     equality ``verify_rows`` runs on every row at C speed.
     A record is built from its fields in slot order, positionally only.
-    A subclass defines its own ``__init__`` only to validate its fields
-    (``ChernVector``, ``TruncatedClassPoly``), to give a mutable record
-    defaults (``verify.SuiteReport``), or because it is built in a hot
-    loop (``Hypothesis``, ``Verdict``), where setting each slot with
-    ``object.__setattr__`` beats this generic loop: the census sweep
+    Every record keeps these rules; none allows assignment or drops its
+    hash.  A subclass defines its own ``__init__`` only to validate its
+    fields (``ChernVector``, ``TruncatedClassPoly``), or because it is
+    built in a hot loop (``Hypothesis``, ``Verdict``), where setting each
+    slot with ``object.__setattr__`` beats this generic loop: the census sweep
     r = 1, degrees 1..10, n = 4..201, j = 6 misses the verdict cache
     1,386 times, building 12,474 hypotheses and 2,772 verdicts, and runs
     about 30 % slower on this ``__init__``.

@@ -68,10 +68,9 @@ def _secant_bounds(m: int, r: int, j: int) -> tuple[Hypothesis, Hypothesis]:
     )
 
 
-def _dimensions(e: ChernVector) -> tuple[int, int]:
-    """(m, r) for X^m in P^n cut out with normal data ``e`` of rank r:
+def _dimensions(n: int, r: int) -> tuple[int, int]:
+    """(m, r) for X^m in P^n cut out with normal data of rank r:
     m = n - r, which must be positive."""
-    n, r = e.ambient_dim, e.codim
     if n - r < 1:
         raise HypothesisError(
             f"ambient dimension {n} leaves no positive-dimensional X for rank {r}"
@@ -127,7 +126,7 @@ def check_jnormal_bundle(
     """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
-    m, r = _dimensions(e)
+    m, r = _dimensions(e.ambient_dim, e.codim)
     if factors is None:
         factors = [top_chern_twisted(e, -i) for i in range(j + 1)]
     hyps = [
@@ -151,7 +150,7 @@ def check_jnormal_bundle(
 def check_2normal(cv: ChernVector) -> Verdict:
     """Quadratic normality of X^m in P^n with normal data ``cv``:
     c_r(N(-2)) != 0 and 6r <= m-4, where r = ``cv.codim`` and m = n - r."""
-    m, r = _dimensions(cv)
+    m, r = _dimensions(cv.ambient_dim, cv.codim)
     value = top_chern_twisted(cv, -2)
     hyps = (
         _nonzero("twisted_top_chern_nonzero", "c_r(N(-2)) != 0", value),
@@ -167,8 +166,9 @@ def check_linear_normality_zak(n: int, r: int) -> Verdict:
     Below the bound the criterion says nothing, so the verdict is
     "inapplicable" rather than "fails".
     """
-    if not n > r >= 1:
-        raise HypothesisError(f"need n > r >= 1, got n={n}, r={r}")
+    if r < 1:
+        raise HypothesisError(f"rank must be >= 1, got {r}")
+    _dimensions(n, r)
     hyp = _ineq("barth_range", "4r <= n", 4 * r, n)
     return Verdict(
         HOLDS if hyp.satisfied else INAPPLICABLE,

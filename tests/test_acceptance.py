@@ -7,7 +7,8 @@ or Fraction equality); tolerances appear only as runtime ceilings.
 Criteria 01, 03, 04, 05 and 09 run the ``verify`` suites through
 ``run_suite``, so the CLI and these criteria check the same loops;
 tests/test_verify.py pins what those suites print, passing and when an
-identity breaks.
+identity breaks.  Criteria 02, 06, 08 and 10 draw their Chern data with
+the suites' own sampler, ``verify._random_chern_vector``.
 
 Criterion 10 is a printed-vs-corrected check, like criterion 05: the
 printed residual identity between the trisecant double sum and the
@@ -40,7 +41,7 @@ from multisecant.secants import (
     trisecant_closed,
     trisecant_double_sum,
 )
-from multisecant.verify import oracle_grid, run_suite
+from multisecant.verify import _random_chern_vector, oracle_grid, run_suite
 from oracles import double_point_expansion
 
 SEED = 20240801
@@ -51,31 +52,23 @@ def report(num, ok, desc):
     return ok
 
 
-def random_vector(rng, n, r, bound):
-    return ChernVector.make(n, [1] + [rng.randint(-bound, bound) for _ in range(r)])
-
-
 def oracle_stream(per_cell=200, bound=5):
     rng = random.Random(SEED)
     for n, r, k in oracle_grid():
         for _ in range(per_cell):
-            yield n, k, random_vector(rng, n, r, bound)
+            yield n, k, _random_chern_vector(rng, n, r, bound)
 
 
 def run_timed(suite, trials):
     started = time.monotonic()
-    result = run_suite(suite, trials, SEED)
-    return result, time.monotonic() - started
+    passed, lines = run_suite(suite, trials, SEED)
+    return passed, lines, time.monotonic() - started
 
 
 def test_criterion_01_recursion_oracle():
     trials = 200 * len(oracle_grid())  # the suite cycles the grid: 200 per cell
-    suite, elapsed = run_timed("recursion-oracle", trials)
-    ok = (
-        suite.passed
-        and f"exact matches: {trials}/{trials}" in suite.lines
-        and elapsed < 60.0
-    )
+    passed, lines, elapsed = run_timed("recursion-oracle", trials)
+    ok = passed and f"exact matches: {trials}/{trials}" in lines and elapsed < 60.0
     assert report(
         1,
         ok,
@@ -104,19 +97,19 @@ def test_criterion_02_secant_count_consistency():
 
 
 def test_criterion_03_trisecant_identity():
-    suite, elapsed = run_timed("trisecant-identity", 1000)
-    ok = suite.passed and "exact matches: 1000/1000" in suite.lines and elapsed < 5.0
+    passed, lines, elapsed = run_timed("trisecant-identity", 1000)
+    ok = passed and "exact matches: 1000/1000" in lines and elapsed < 5.0
     assert report(
         3, ok, f"double sum == closed form on 1000 random vectors ({elapsed:.2f}s)"
     )
 
 
 def test_criterion_04_c_term():
-    suite, _ = run_timed("cterm", 200)
+    passed, lines, _ = run_timed("cterm", 200)
     ok = (
-        suite.passed
-        and "exact matches: 200/200" in suite.lines
-        and "worked instance n=4 r=2 c=(1,4,4): both routes give 32" in suite.lines
+        passed
+        and "exact matches: 200/200" in lines
+        and "worked instance n=4 r=2 c=(1,4,4): both routes give 32" in lines
     )
     assert report(
         4,
@@ -129,14 +122,14 @@ def test_criterion_05_binomial_identities():
     # the suite's grids are exhaustive: l+p <= 40 and t <= 40 for the rank
     # identity, n, t <= 30 for the two alternating sums
     rank_cases = sum(m + 1 for m in range(41)) * 41
-    suite, _ = run_timed("lemma51", 0)
+    passed, lines, _ = run_timed("lemma51", 0)
     witness = wedge_resolution_sum_shifted(2, 1)
-    witness_reported = any("(n=2, t=1)" in line and "-2" in line for line in suite.lines)
+    witness_reported = any("(n=2, t=1)" in line and "-2" in line for line in lines)
     ok = (
-        suite.passed
-        and f"rank identity: {rank_cases}/{rank_cases} exact" in suite.lines
-        and "unit alternating sum == (-1)^t: 961/961" in suite.lines
-        and "shifted alternating sum == (-1)^t*(t+1): 961/961" in suite.lines
+        passed
+        and f"rank identity: {rank_cases}/{rank_cases} exact" in lines
+        and "unit alternating sum == (-1)^t: 961/961" in lines
+        and "shifted alternating sum == (-1)^t*(t+1): 961/961" in lines
         and witness == -2
         and witness_reported
     )
@@ -154,7 +147,7 @@ def test_criterion_06_bisecant():
     mismatches = 0
     for _ in range(500):
         r = rng.randint(1, 6)
-        cv = random_vector(rng, rng.randint(max(1, r), 20), r, 9)
+        cv = _random_chern_vector(rng, rng.randint(max(1, r), 20), r, 9)
         if double_point_expansion(cv) != top_chern_twisted(cv, -1):
             mismatches += 1
     ok = quartic == 2 and mismatches == 0
@@ -184,7 +177,7 @@ def test_criterion_08_three_points_per_line():
     mismatches = 0
     for _ in range(500):
         r = rng.randint(1, 6)
-        cv = random_vector(rng, rng.randint(max(1, r), 20), r, 9)
+        cv = _random_chern_vector(rng, rng.randint(max(1, r), 20), r, 9)
         if trisecant_closed(cv) * cv.degree != 3 * multisecant_report(cv, 2).value:
             mismatches += 1
     ok = mismatches == 0
@@ -195,16 +188,16 @@ def test_criterion_08_three_points_per_line():
 
 def test_criterion_09_b_term_experiment():
     started = time.monotonic()
-    suite = run_suite("bterm-experiment", 50, 0)
+    passed, lines = run_suite("bterm-experiment", 50, 0)
     elapsed = time.monotonic() - started
-    case_lines = [line for line in suite.lines if line.startswith("[case")]
+    case_lines = [line for line in lines if line.startswith("[case")]
     verdicts = [line.rsplit(" ", 1)[1] for line in case_lines]
     complete = len(case_lines) == 50 and all(
         v in ("match", "mismatch") for v in verdicts
     )
     # determinism: the report must reproduce byte for byte
     replay = run_suite("bterm-experiment", 50, 0)
-    ok = complete and suite.passed and replay.lines == suite.lines and elapsed < 10.0
+    ok = complete and passed and replay == (passed, lines) and elapsed < 10.0
     assert report(
         9,
         ok,
@@ -230,7 +223,7 @@ def test_criterion_10_residual_identity_as_printed():
     corrected_misses = printed_holds = 0
     for _ in range(500):
         r = rng.randint(1, 6)
-        cv = random_vector(rng, rng.randint(max(1, 2 * r - 2), 20), r, 9)
+        cv = _random_chern_vector(rng, rng.randint(max(1, 2 * r - 2), 20), r, 9)
         actual, printed, corrected = residual(cv)
         corrected_misses += actual != corrected
         printed_holds += actual == printed

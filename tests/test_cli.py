@@ -150,12 +150,14 @@ class TestExitCodes:
         [
             (["normality", "--n", "2", "--j", "2", "N{r=2,c=[1,6,9]}"],
              "ambient dimension 2 leaves no positive-dimensional X for rank 2"),
+            (["normality", "--n", "2", "--j", "1", "N{r=3,c=[1,0,0,0]}"],
+             "ambient dimension 2 leaves no positive-dimensional X for rank 3"),
             (["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "-1",
               "--out", "c.csv"], "j must be >= 1, got -1"),
             (["census", "--r", "2", "--degrees", "2..3", "--n", "3..5", "--j", "0",
               "--out", "c.csv"], "j must be >= 1, got 0"),
         ],
-        ids=["normality-n-at-r", "census-j-negative", "census-j-zero"],
+        ids=["normality-n-at-r", "zak-n-below-r", "census-j-negative", "census-j-zero"],
     )
     def test_errors_name_only_given_values(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -182,18 +184,15 @@ class TestExitCodes:
 
     def test_suite_failure_is_exit_three(self, monkeypatch):
         from multisecant import verify as verify_mod
-        from multisecant.verify import SuiteReport
 
-        def broken(trials=0, seed=0):
-            report = SuiteReport("cterm", False)
-            report.add("suite: cterm")
-            report.add("[FAIL] injected counterexample")
-            return report.finish()
+        def broken(lines, trials, seed):
+            lines.append("[FAIL] injected counterexample")
+            return 1
 
         monkeypatch.setitem(verify_mod._RUNNERS, "cterm", (broken, 0))
         code, text = run(["verify", "--suite", "cterm"])
         assert code == 3
-        assert "FAIL" in text
+        assert text == "suite: cterm\n[FAIL] injected counterexample\nsuite cterm: FAIL\n"
 
 
 HUGE_CENSUS = ["census", "--r", "3", "--degrees", "1..100000", "--n", "4..4", "--j", "2",

@@ -119,8 +119,14 @@ class TestZak:
         assert check_linear_normality_zak(12, 3).outcome == "holds"
 
     def test_parameter_check(self):
-        with pytest.raises(HypothesisError):
-            check_linear_normality_zak(2, 2)
+        # n <= r is refused by the guard and message the other checks share
+        for n, r in [(2, 2), (2, 3)]:
+            message = f"^ambient dimension {n} leaves no positive-dimensional X for rank {r}$"
+            with pytest.raises(HypothesisError, match=message):
+                check_linear_normality_zak(n, r)
+        for r in (0, -1):
+            with pytest.raises(HypothesisError, match=f"^rank must be >= 1, got {r}$"):
+                check_linear_normality_zak(5, r)
 
 
 class TestNumerology:

@@ -19,7 +19,6 @@ from multisecant.exprs import (
 from multisecant.fiberring import FiberRingElement
 from multisecant.normality import Hypothesis, Verdict
 from multisecant.secants import SecantDegree
-from multisecant.verify import SuiteReport
 
 # (a factory of equal records, the repr the dataclass printed)
 RECORDS = [
@@ -88,16 +87,6 @@ def test_equality_needs_the_same_class():
     assert TangentExpr() == TangentExpr()
     assert LineBundleExpr(1) != (1,)
     assert LineBundleExpr(1) != LineBundleExpr(2)
-
-
-def test_suite_report_is_a_mutable_record():
-    report = SuiteReport("cterm", True)
-    report.passed = False
-    report.add("line")
-    assert report == SuiteReport("cterm", False, ["line"]) == copy.deepcopy(report)
-    assert repr(report) == "SuiteReport(name='cterm', passed=False, lines=['line'])"
-    with pytest.raises(TypeError):
-        hash(report)
 
 
 @pytest.mark.parametrize(

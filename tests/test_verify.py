@@ -282,15 +282,22 @@ DIGESTS = {
 @pytest.mark.parametrize("suite", verify.SUITE_NAMES)
 def test_run_suite_passes_the_table_default(suite, monkeypatch):
     # the suites have no defaults of their own: run_suite supplies the table's
+    # and writes the header and the verdict around the runner's body lines
     runner, default = verify._RUNNERS[suite]
     calls = []
-    fake = verify.SuiteReport(suite, True)
-    monkeypatch.setitem(
-        verify._RUNNERS, suite, (lambda *args: calls.append(args) or fake, default)
-    )
-    assert verify.run_suite(suite) is fake
+
+    def fake(lines, trials, seed):
+        calls.append((trials, seed))
+        lines.append("body")
+        return 0 if seed == 0 else 2
+
+    monkeypatch.setitem(verify._RUNNERS, suite, (fake, default))
+    assert verify.run_suite(suite) == (True, [f"suite: {suite}", "body", f"suite {suite}: PASS"])
     assert calls == [(default, 0)]
-    assert verify.run_suite(suite, 3, 7) is fake and calls[1] == (3, 7)
+    assert verify.run_suite(suite, 3, 7) == (
+        False, [f"suite: {suite}", "body", f"suite {suite}: FAIL"]
+    )
+    assert calls[1] == (3, 7)
 
 
 @pytest.mark.parametrize("suite, seed", list(DIGESTS), ids=lambda v: str(v))
