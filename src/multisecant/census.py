@@ -9,13 +9,14 @@ is reproducible from the input fields alone, which is what
 Cost: for n > r nothing in the Chern data of E = O(d_1) + ... + O(d_r) is
 truncated, so c_r(E(-i)) = prod_k (d_k - i) and every value column
 depends only on the degree tuple and j.  A row depends on n only through
-its two verdicts, which depend only on (n, r, j) and on which factors
-c_r(E(-i)), i = 1..j, vanish.  A sweep computes each of the two parts
+its two verdicts, which depend only on (n, r, j) and on whether any factor
+c_r(E(-i)), i = 1..j, vanishes.  A sweep computes each of the two parts
 once and builds its rows from them.
 
 Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
 order, so the CSV writer passes each row on with only ``degrees`` joined
-and both readers build rows positionally.
+and both readers build rows positionally.  The JSON reader builds each
+row as the decoder completes it and never holds the decoded document.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
@@ -83,9 +84,11 @@ class _Sweep:
     """Rows built from two caches that live as long as one sweep.
 
     ``values`` maps (degrees, j) to the value columns, the two flags, the
-    factors c_r(E(-i)) for i = 0..j and the indices i >= 1 at which they
-    vanish; ``verdicts`` maps (n, r, j, vanishing indices) to the jnormal
-    and zak outcomes.  The value part is exact only for n > r, so both
+    factors c_r(E(-i)) for i = 0..j and whether any of them with i >= 1
+    vanishes; ``verdicts`` maps (n, r, j, that flag) to the jnormal and zak
+    outcomes.  This is exact because the criterion holds only when every
+    hypothesis does, so which factor vanishes never changes its outcome,
+    and zak reads only (n, r).  The value part is exact only for n > r, so both
     parts are stored only after the verdicts are made: a row with n <= r
     or j < 1 raises there, as ``compute_row`` always has, and stores
     nothing.
@@ -115,10 +118,10 @@ class _Sweep:
                 "false" if report.integral else "true",
                 "true" if d_consistent else "false",
                 report.factors,
-                tuple(i for i in range(1, j + 1) if report.factors[i] == 0),
+                0 in report.factors[1:],
             )
-        degree, chern, twisted, secant, warning, consistent, factors, zeros = values
-        verdicts = self.verdicts.get((n, r, j, zeros))
+        degree, chern, twisted, secant, warning, consistent, factors, vanishes = values
+        verdicts = self.verdicts.get((n, r, j, vanishes))
         if verdicts is None:
             if bundle is None:
                 bundle = complete_intersection_bundle(n, degrees)
@@ -126,7 +129,7 @@ class _Sweep:
                 check_jnormal_bundle(bundle, j, factors).outcome,
                 check_linear_normality_zak(n, r).outcome,
             )
-            self.verdicts[n, r, j, zeros] = verdicts
+            self.verdicts[n, r, j, vanishes] = verdicts
         if miss:
             self.values[degrees, j] = values
         jnormal, zak = verdicts
@@ -281,26 +284,35 @@ def parse_csv(text: str) -> list[CensusRow]:
     ]
 
 
+def _json_row(obj: dict):
+    """``object_hook`` of ``parse_json``: a row object becomes a
+    ``CensusRow`` as soon as the decoder completes it.  Its sections and
+    the top level have no ``"inputs"`` key and pass through unchanged."""
+    if "inputs" not in obj:
+        return obj
+    inputs, values, verdicts, flags = obj["inputs"], obj["values"], obj["verdicts"], obj["flags"]
+    return CensusRow._make((
+        inputs["n"],
+        inputs["r"],
+        tuple(inputs["degrees"]),
+        inputs["j"],
+        values["degree"],
+        ";".join(values["chern"]),
+        ";".join(values["twisted_top_cherns"]),
+        values["secant_degree"],
+        verdicts["jnormal"],
+        verdicts["zak"],
+        "true" if flags["integrality_warning"] else "false",
+        "true" if flags["d_consistent"] else "false",
+    ))
+
+
 def parse_json(text: str) -> list[CensusRow]:
-    doc = json.loads(text)
-    make = CensusRow._make
-    rows = []
-    for rec in doc["rows"]:
-        inputs, values, verdicts, flags = rec["inputs"], rec["values"], rec["verdicts"], rec["flags"]
-        rows.append(make((
-            inputs["n"],
-            inputs["r"],
-            tuple(inputs["degrees"]),
-            inputs["j"],
-            values["degree"],
-            ";".join(values["chern"]),
-            ";".join(values["twisted_top_cherns"]),
-            values["secant_degree"],
-            verdicts["jnormal"],
-            verdicts["zak"],
-            "true" if flags["integrality_warning"] else "false",
-            "true" if flags["d_consistent"] else "false",
-        )))
+    """The rows of a census document.  Each row is built while the text is
+    decoded, so the decoded document is never held, only the rows."""
+    rows = json.loads(text, object_hook=_json_row)["rows"]
+    if type(rows) is not list or any(type(row) is not CensusRow for row in rows):
+        raise ValueError("census rows must be a list of row objects")
     return rows
 
 
@@ -312,7 +324,7 @@ def verify_rows(rows: Iterable[CensusRow]) -> list[str]:
     for idx, row in enumerate(rows):
         # a value that equals an int without being one (2.0, True) would share
         # its cache entries, so such a row gets a cache of its own
-        exact = all(type(x) is int for x in (row.n, row.j, *row.degrees))
+        exact = {type(row.n), type(row.j), *map(type, row.degrees)} == {int}
         fresh = (sweep if exact else _Sweep()).row(row.n, row.degrees, row.j)
         if fresh != row:
             problems.append(f"row {idx}: stored {row} != recomputed {fresh}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .bundles import ChernVector
+from .bundles import ChernVector, _chern_data
 from .combinat import (
     koszul_rank_identity,
     wedge_resolution_sum_shifted,
@@ -52,8 +52,20 @@ def _count(lines: list[str], broken: list[tuple[str, str]]) -> int:
 
 
 def _random_chern_vector(rng: random.Random, n: int, r: int, bound: int) -> ChernVector:
-    c = [1] + [rng.randint(-bound, bound) for _ in range(r)]
-    return ChernVector.make(n, c)
+    """Abstract data c = (1, c_1..c_r) with each c_i drawn as
+    ``rng.randint(-bound, bound)`` draws it: the same ``getrandbits``
+    rejection loop, inlined, so every seed keeps its cases."""
+    width = 2 * bound + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    c = [1]
+    for _ in range(r):
+        x = getrandbits(bits)
+        while x >= width:
+            x = getrandbits(bits)
+        c.append(x - bound)
+    # the draws are ints already, so make's operator.index pass is skipped
+    return _chern_data(n, c, True)
 
 
 def _sampled(

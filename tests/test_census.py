@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -228,6 +229,80 @@ def test_json_writer_on_no_rows_and_on_the_grid():
     assert render_json(rows) == _reference_json(rows)
 
 
+# -- the streaming JSON reader ----------------------------------------------------
+
+
+def test_json_reader_holds_only_the_rows_it_returns():
+    # the long-polynomial benchmark sweep: 1,980 rows in 1.43 MB of text; a
+    # reader that decodes the whole document first peaks at about 3x the text
+    text = render_json(enumerate_rows(1, (1, 10), (4, 201), 6))
+    tracemalloc.start()
+    try:
+        parsed = parse_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 1980
+    assert peak < len(text)
+
+
+def _one_row_doc():
+    return json.loads(render_json([compute_row(5, (2, 3), 1)]))
+
+
+def _without(key):
+    doc = _one_row_doc()
+    del doc["rows"][0][key]
+    return doc
+
+
+_MALFORMED = {
+    "row-is-a-list": {"format": "multisecant-census/1", "rows": [[5, 2, [2, 3], 1]]},
+    "row-is-a-string": {"rows": ["5,2,2;3,1"]},
+    "row-is-a-number": {"rows": [5]},
+    "row-without-inputs": _without("inputs"),
+    "row-without-values": _without("values"),
+    "row-after-a-non-row": {"rows": _one_row_doc()["rows"] + [{}]},
+    "top-level-is-a-list": _one_row_doc()["rows"],
+    "top-level-is-a-row": _one_row_doc()["rows"][0],
+    "top-level-is-a-string": "rows",
+    "top-level-is-null": None,
+    "rows-missing": {"format": "multisecant-census/1"},
+    "rows-is-an-object": {"rows": {}},
+    "rows-is-a-string": {"rows": "abc"},
+}
+
+
+@pytest.mark.parametrize("doc", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_json_raises(doc):
+    with pytest.raises((ValueError, KeyError, TypeError)):
+        parse_json(json.dumps(doc))
+
+
+_ROW_KEYS = ["rows", "inputs", "values", "verdicts", "flags", "n", "r", "degrees", "j",
+             "degree", "chern", "twisted_top_cherns", "secant_degree", "jnormal", "zak",
+             "integrality_warning", "d_consistent"]
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(["", "1", "a;b"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(_ROW_KEYS), inner, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+@given(st.one_of(_json_values, st.builds(lambda row, rest: {"rows": [row] + rest},
+                                         st.just(_one_row_doc()["rows"][0]),
+                                         st.lists(_json_values, max_size=2))))
+def test_json_reader_returns_only_rows_or_raises(doc):
+    try:
+        parsed = parse_json(json.dumps(doc))
+    except (ValueError, KeyError, TypeError):
+        return
+    assert type(parsed) is list and all(type(row) is CensusRow for row in parsed)
+
+
 # -- rows built from the sweep cache --------------------------------------------
 
 
@@ -377,10 +452,10 @@ def test_sweep_caches_one_entry_per_distinct_input(r, degree_range, ambient_rang
     inputs = [(n, degrees) for n in range(ambient_range[0], ambient_range[1] + 1) for degrees in tuples]
     for n, degrees in inputs:
         sweep.row(n, degrees, j)
-    # the indices i = 1..j at which c_r(E(-i)) = prod_k (d_k - i) vanishes
-    zeros = {
-        degrees: tuple(i for i in range(1, j + 1) if math.prod(d - i for d in degrees) == 0)
+    # whether c_r(E(-i)) = prod_k (d_k - i) vanishes for some i = 1..j
+    vanishes = {
+        degrees: any(math.prod(d - i for d in degrees) == 0 for i in range(1, j + 1))
         for degrees in tuples
     }
     assert len(sweep.values) == len({(degrees, j) for _, degrees in inputs})
-    assert len(sweep.verdicts) == len({(n, r, j, zeros[degrees]) for n, degrees in inputs})
+    assert len(sweep.verdicts) == len({(n, r, j, vanishes[degrees]) for n, degrees in inputs})

@@ -13,6 +13,7 @@ suite list in step with the suite table.
 import ast
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
@@ -310,3 +311,16 @@ def test_default_trials_output_digest(suite, seed):
 
 def test_digests_cover_every_suite():
     assert {suite for suite, _ in DIGESTS} == set(verify.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 5, 9, 2**31, 10**40])
+def test_sampler_draws_what_randint_draws(bound):
+    # the sampler inlines randint's rejection loop: its vectors and the state
+    # it leaves must equal those of a twin generator that calls randint
+    for seed in range(40):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for r in range(1, 7):
+            cv = verify._random_chern_vector(rng, 2 * r, r, bound)
+            assert cv.c == tuple([1] + [twin.randint(-bound, bound) for _ in range(r)])
+            assert (cv.ambient_dim, cv.codim, cv.degree, cv.abstract) == (2 * r, r, cv.c[r], True)
+        assert rng.getstate() == twin.getstate()
