@@ -20,8 +20,9 @@ row as the decoder completes it and never holds the decoded document.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
-never as floats.  The JSON writer fills a fixed template and emits
-exactly the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``.
+never as floats.  The JSON writer emits exactly the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)``, joined once from row
+fragments that rows share wherever their text agrees.
 """
 
 from __future__ import annotations
@@ -57,16 +58,19 @@ CSV_HEADER = (
 
 
 # Largest sweep enumerate_rows builds: 8x the 12,180-row benchmark grid.
-# A JSON census of this many rows is a 67 MB document and peaks near
-# 230 MB of resident memory; the whole document is held before writing.
+# A JSON census of this many rows at r = 1 or 2 is a 67-70 MB document and
+# its process peaks at 112-114 MB of resident memory, the whole document
+# held once before it is written (Python 3.11.7 on a 2-core x86_64 Xeon,
+# max RSS of one `multisecant census` process).
 MAX_ROWS = 100_000
 
 # Largest codimension a sweep takes.  MAX_ROWS bounds the rows, not their
 # size: a row holds r+1 Chern numbers of about r digits each.  Under the
-# row cap, degrees 1..2 at r = 20 write 128 MB of JSON in 1.5 s with a
-# 294 MB peak, no more than the largest r = 2 sweep measured the same way
-# (307 MB); at r = 100 the CSV alone is 329 MB and takes 13 s (Python
-# 3.11, one core, enumerate_rows and the render in one process).
+# row cap, degrees 1..2 at r = 20 write 128 MB of JSON in 2.1 s with a
+# 170 MB peak, no more than the r = 2 sweep --degrees 1..446 --n 3..3
+# --j 6, whose 99,681 distinct rows write 82 MB with a 292 MB peak
+# (measured as above); at r = 100 the CSV alone is 329 MB and takes 13 s
+# (Python 3.11, one core, enumerate_rows and the render in one process).
 MAX_CODIM = 20
 
 CensusRow = namedtuple("CensusRow", CSV_HEADER)
@@ -191,9 +195,16 @@ def render_csv(rows: Iterable[CensusRow]) -> str:
     return buf.getvalue()
 
 
+_FORMAT = "multisecant-census/1"
+
 # One row of the census document as json.dumps(indent=2, sort_keys=True)
-# lays it out: keys sorted at every level, the row an item of "rows".
-_JSON_ROW = """    {
+# lays it out (keys sorted at every level, the row an item of "rows"), cut
+# where what the text depends on changes: the head on the flags and the
+# degrees, the inputs on the row itself, the values on the four value
+# columns and the verdicts on the two verdicts.  A sweep repeats its heads,
+# values and verdicts across n, so render_json renders each distinct one
+# once and the document shares it by reference until the final join.
+_ROW_HEAD = """    {
       "citations": [
         "secant-product-formula",
         "jnormal-bundle-criterion",
@@ -205,34 +216,41 @@ _JSON_ROW = """    {
       },
       "inputs": {
         "degrees": %s,
-        "j": %s,
+        "j": """
+_ROW_INPUTS = """%s,
         "n": %s,
         "r": %s
       },
       "values": {
-        "chern": %s,
+        "chern": """
+_ROW_VALUES = """%s,
         "degree": %s,
         "secant_degree": %s,
         "twisted_top_cherns": %s
       },
       "verdicts": {
-        "jnormal": %s,
+        "jnormal": """
+_ROW_VERDICTS = """%s,
         "zak": %s
       }
     }"""
 
 
-def _json_scalar(value) -> str:
-    # the encoder writes an int with int.__repr__; anything else goes to json itself
-    return repr(value) if type(value) is int else json.dumps(value)
+def _json_value(value, indent: str) -> str:
+    """A decoded JSON value, or a tuple as a list, as the encoder writes it
+    where its line is indented by ``indent``; an int takes the encoder's
+    own int.__repr__."""
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _json_list(items: list[str]) -> str:
-    """Encoded items as a list inside a row's section, where an item is
-    indented ten spaces."""
+def _json_ints(items: tuple) -> str:
+    """Ints as a list inside a row's section, where an item is indented ten
+    spaces; the same text as ``_json_value`` at a fraction of its cost."""
     if not items:
         return "[]"
-    return "[\n          " + ",\n          ".join(items) + "\n        ]"
+    return "[\n          " + ",\n          ".join(map(repr, items)) + "\n        ]"
 
 
 def _json_split(text: str) -> str:
@@ -245,30 +263,38 @@ def _json_split(text: str) -> str:
 
 def render_json(rows: Iterable[CensusRow]) -> str:
     """The census document, byte for byte as ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` would write it."""
+    sort_keys=True) + "\\n"`` would write it.  The text is joined once from
+    one list of fragments; of each row only its n, r and j are its own."""
     encode = encode_basestring_ascii
-    body = ",\n".join(
-        _JSON_ROW
-        % (
-            "true" if row.d_consistent == "true" else "false",
-            "true" if row.integrality_warning == "true" else "false",
-            _json_list([_json_scalar(d) for d in row.degrees]),
-            _json_scalar(row.j),
-            _json_scalar(row.n),
-            _json_scalar(row.r),
-            _json_split(row.chern),
-            encode(row.degree),
-            encode(row.secant_degree),
-            _json_split(row.twisted_top_cherns),
-            encode(row.jnormal),
-            encode(row.zak),
-        )
-        for row in rows
-    )
-    if not body:
-        return '{\n  "format": "multisecant-census/1",\n  "rows": []\n}\n'
-    # one copy of the body, not one per concatenation: the text is megabytes
-    return '{\n  "format": "multisecant-census/1",\n  "rows": [\n%s\n  ]\n}\n' % body
+    heads, values, verdicts = {}, {}, {}
+    parts = ['{\n  "format": "' + _FORMAT + '",\n  "rows": [']
+    for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent in rows:
+        flags = ("true" if consistent == "true" else "false", "true" if warning == "true" else "false")
+        # 1, True and 1.0 are equal keys that encode differently, and a list
+        # is no key at all, so only all-int degrees share their head
+        exact = {*map(type, degrees)} <= {int}
+        head = heads.get((flags, degrees)) if exact else None
+        if head is None:
+            listed = _json_ints(degrees) if exact else _json_value(degrees, " " * 8)
+            head = _ROW_HEAD % (*flags, listed)
+            if exact:
+                heads[flags, degrees] = head
+        shown = values.get((chern, degree, secant, twisted))
+        if shown is None:
+            shown = values[chern, degree, secant, twisted] = _ROW_VALUES % (
+                _json_split(chern), encode(degree), encode(secant), _json_split(twisted)
+            )
+        verdict = verdicts.get((jnormal, zak))
+        if verdict is None:
+            verdict = verdicts[jnormal, zak] = _ROW_VERDICTS % (encode(jnormal), encode(zak))
+        inputs = _ROW_INPUTS % (_json_value(j, " " * 8), _json_value(n, " " * 8), _json_value(r, " " * 8))
+        parts += (",\n", head, inputs, shown, verdict)
+    if len(parts) == 1:
+        parts.append("]\n}\n")
+    else:
+        parts[1] = "\n"  # the first row follows the opening bracket, not a comma
+        parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def parse_csv(text: str) -> list[CensusRow]:
@@ -310,7 +336,11 @@ def _json_row(obj: dict):
 def parse_json(text: str) -> list[CensusRow]:
     """The rows of a census document.  Each row is built while the text is
     decoded, so the decoded document is never held, only the rows."""
-    rows = json.loads(text, object_hook=_json_row)["rows"]
+    doc = json.loads(text, object_hook=_json_row)
+    found = doc.get("format") if type(doc) is dict else None
+    if found != _FORMAT:
+        raise ValueError(f"unexpected census format: {found!r}")
+    rows = doc.get("rows")
     if type(rows) is not list or any(type(row) is not CensusRow for row in rows):
         raise ValueError("census rows must be a list of row objects")
     return rows

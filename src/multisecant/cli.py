@@ -41,6 +41,10 @@ MAX_AMBIENT_DIM = 10_000
 MAX_J = 1_000
 MAX_TRIALS = 100_000
 
+# census writes its file in slices of this many characters, so that the
+# file object never holds a second, encoded copy of the whole document
+WRITE_SLICE = 1 << 16
+
 # verify.SUITE_NAMES, spelled out so that building the parser does not
 # import the suites (tests/test_cli.py checks that the two agree)
 SUITE_NAMES = ("recursion-oracle", "trisecant-identity", "lemma51", "cterm", "bterm-experiment")
@@ -118,14 +122,16 @@ def _check_limits(args) -> None:
 
 def _cmd_chern(args, out) -> int:
     value = _elaborated(args)
-    out.write(f"ambient: P^{value.ambient_dim}\n")
+    lines = [f"ambient: P^{value.ambient_dim}\n"]
     if value.abstract:
-        out.write(f"codim: {value.codim}\n")
-        out.write(f"degree: {value.degree}\n")
-        out.write(f"chern vector: {';'.join(str(c) for c in value.c)}\n")
+        lines.append(f"codim: {value.codim}\n")
+        lines.append(f"degree: {value.degree}\n")
+        lines.append(f"chern vector: {';'.join(str(c) for c in value.c)}\n")
     else:
-        out.write(f"rank: {value.codim}\n")
-    out.write(f"total chern: {value.total_chern}\n")
+        lines.append(f"rank: {value.codim}\n")
+    lines.append(f"total chern: {value.total_chern}\n")
+    # formatted in full first: a value too long for str exits 2 with stdout empty
+    out.write("".join(lines))
     return EXIT_OK
 
 
@@ -135,15 +141,17 @@ def _cmd_secants(args, out) -> int:
     value = _elaborated(args)
     report = multisecant_report(value, args.j)
     factors = ", ".join(map(str, report.factors))
-    out.write(f"secant lines: {args.j + 1}-secants through a generic external point\n")
-    out.write(f"twisted top chern factors c_r(E(0))..c_r(E(-{args.j})): {factors}\n")
-    out.write(f"degree: {report.value}\n")
     flags = []
     if report.possibly_degenerate:
         flags.append("zero class: locus may have smaller dimension than expected")
     if not report.integral:
         flags.append("non-integral value: improper-dimension input")
-    out.write(f"flags: {'; '.join(flags) if flags else 'none'}\n")
+    out.write(
+        f"secant lines: {args.j + 1}-secants through a generic external point\n"
+        f"twisted top chern factors c_r(E(0))..c_r(E(-{args.j})): {factors}\n"
+        f"degree: {report.value}\n"
+        f"flags: {'; '.join(flags) if flags else 'none'}\n"
+    )
     return EXIT_OK
 
 
@@ -213,7 +221,8 @@ def _cmd_census(args, out) -> int:
     text = render_csv(rows) if args.format == "csv" else render_json(rows)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start : start + WRITE_SLICE])
     except OSError as exc:
         raise _CliExit(EXIT_USAGE, f"error: cannot write {args.out}: {exc.strerror or exc}")
     out.write(f"wrote {len(rows)} rows to {args.out}\n")

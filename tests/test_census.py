@@ -1,6 +1,7 @@
 """Census generation, serialization round-trips, schema validation."""
 
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from multisecant import census
+from multisecant import census, cli
 from multisecant.bundles import complete_intersection_bundle
 from multisecant.census import (
     CSV_HEADER,
@@ -203,7 +204,8 @@ _census_rows = st.builds(
     CensusRow,
     n=_scalars,
     r=_scalars,
-    degrees=st.lists(_scalars, max_size=4).map(tuple),
+    # a list item is what parse_json keeps from a nested array
+    degrees=st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4).map(tuple),
     j=st.integers(0, 6),
     degree=_texts,
     chern=_texts,
@@ -229,20 +231,65 @@ def test_json_writer_on_no_rows_and_on_the_grid():
     assert render_json(rows) == _reference_json(rows)
 
 
-# -- the streaming JSON reader ----------------------------------------------------
+@pytest.mark.parametrize("order", [1, -1], ids=["int-first", "int-last"])
+def test_json_writer_shares_only_degrees_that_encode_alike(order):
+    # (1,), (True,) and (1.0,) are equal, hash alike and encode as 1, true
+    # and 1.0; ([1], 2) cannot be a key at all
+    row = compute_row(5, (1, 3), 1)
+    degrees = [(1,), (True,), (1.0,), ([1], 2), (1,), (True,)][::order]
+    rows = [row._replace(degrees=d) for d in degrees]
+    text = render_json(rows)
+    assert text == _reference_json(rows)
+    assert parse_json(text) == rows
 
 
-def test_json_reader_holds_only_the_rows_it_returns():
-    # the long-polynomial benchmark sweep: 1,980 rows in 1.43 MB of text; a
-    # reader that decodes the whole document first peaks at about 3x the text
-    text = render_json(enumerate_rows(1, (1, 10), (4, 201), 6))
+# -- the JSON writer's memory ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def long_rows():
+    # the long-polynomial benchmark sweep: 1,980 rows in 1.43 MB of text
+    return enumerate_rows(1, (1, 10), (4, 201), 6)
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        parsed = parse_json(text)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(parsed) == 1980
+    return result, peak
+
+
+def test_json_writer_holds_little_beside_the_text(long_rows):
+    # a writer that formats every row in full and then copies the joined
+    # rows into the document peaks at about 2.25x the text
+    text, peak = _traced_peak(lambda: render_json(long_rows))
+    assert peak < 1.5 * len(text)
+
+
+def test_json_census_command_holds_no_encoded_copy(long_rows, tmp_path):
+    # encoding the whole document in one write adds a copy of the file
+    out = tmp_path / "long.json"
+    argv = ["census", "--r", "1", "--degrees", "1..10", "--n", "4..201", "--j", "6",
+            "--out", str(out), "--format", "json"]
+    code, peak = _traced_peak(lambda: cli.run_command(argv, out=io.StringIO()))
+    assert code == 0
+    size = out.stat().st_size
+    assert size > cli.WRITE_SLICE and size % cli.WRITE_SLICE
+    assert out.read_text() == render_json(long_rows)
+    assert peak < 2 * size
+
+
+# -- the streaming JSON reader ----------------------------------------------------
+
+
+def test_json_reader_holds_only_the_rows_it_returns(long_rows):
+    # a reader that decodes the whole document first peaks at about 3x the text
+    text = render_json(long_rows)
+    parsed, peak = _traced_peak(lambda: parse_json(text))
+    assert parsed == long_rows
     assert peak < len(text)
 
 
@@ -256,20 +303,26 @@ def _without(key):
     return doc
 
 
+def _rows_doc(rows):
+    return {"format": "multisecant-census/1", "rows": rows}
+
+
 _MALFORMED = {
-    "row-is-a-list": {"format": "multisecant-census/1", "rows": [[5, 2, [2, 3], 1]]},
-    "row-is-a-string": {"rows": ["5,2,2;3,1"]},
-    "row-is-a-number": {"rows": [5]},
+    "format-unknown": {**_one_row_doc(), "format": "multisecant-census/2"},
+    "format-missing": {"rows": _one_row_doc()["rows"]},
+    "row-is-a-list": _rows_doc([[5, 2, [2, 3], 1]]),
+    "row-is-a-string": _rows_doc(["5,2,2;3,1"]),
+    "row-is-a-number": _rows_doc([5]),
     "row-without-inputs": _without("inputs"),
     "row-without-values": _without("values"),
-    "row-after-a-non-row": {"rows": _one_row_doc()["rows"] + [{}]},
+    "row-after-a-non-row": _rows_doc(_one_row_doc()["rows"] + [{}]),
     "top-level-is-a-list": _one_row_doc()["rows"],
     "top-level-is-a-row": _one_row_doc()["rows"][0],
     "top-level-is-a-string": "rows",
     "top-level-is-null": None,
     "rows-missing": {"format": "multisecant-census/1"},
-    "rows-is-an-object": {"rows": {}},
-    "rows-is-a-string": {"rows": "abc"},
+    "rows-is-an-object": _rows_doc({}),
+    "rows-is-a-string": _rows_doc("abc"),
 }
 
 
@@ -292,9 +345,13 @@ _json_values = st.recursive(
 )
 
 
-@given(st.one_of(_json_values, st.builds(lambda row, rest: {"rows": [row] + rest},
-                                         st.just(_one_row_doc()["rows"][0]),
-                                         st.lists(_json_values, max_size=2))))
+# every object at the top level carries the /1 format, so that the
+# property reaches the rows and does not stop at the format check
+@given(st.one_of(_json_values.map(lambda doc: {**doc, "format": "multisecant-census/1"}
+                                  if type(doc) is dict else doc),
+                 st.builds(lambda row, rest: _rows_doc([row] + rest),
+                           st.just(_one_row_doc()["rows"][0]),
+                           st.lists(_json_values, max_size=2))))
 def test_json_reader_returns_only_rows_or_raises(doc):
     try:
         parsed = parse_json(json.dumps(doc))

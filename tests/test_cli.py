@@ -166,6 +166,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chern", "--n", "4", "O(1%s)+O(1%s)" % ("0" * 2500, "0" * 2500)],
+            ["secants", "--n", "200", "--j", "100", "T"],
+        ],
+        ids=["chern-c2-5001-digits", "secants-degree-past-4300-digits"],
+    )
+    def test_value_too_long_to_print_leaves_stdout_empty(self, argv, capsys):
+        # every line is formatted before any is written
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err.startswith("error: Exceeds the limit (4300 digits)")
+
     def test_census_into_missing_directory_is_usage(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         code, text = run(
