@@ -15,14 +15,19 @@ once and builds its rows from them.
 
 Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
 order, so the CSV writer passes each row on with only ``degrees`` joined
-and both readers build rows positionally.  The JSON reader builds each
-row as the decoder completes it and never holds the decoded document.
+and both readers build rows positionally.  Every row holds the types
+census.schema.json gives its fields: n, r, j and each degree an ``int``
+(never a ``bool`` or ``float``), every other field a ``str``.
+``enumerate_rows`` and ``parse_csv`` build rows that way, and the JSON
+reader refuses a row any other way with ``ValueError``, so the writers and
+``verify_rows`` take the types as given.  The JSON reader builds each row
+as the decoder completes it and never holds the decoded document.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
 never as floats.  The JSON writer emits exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, joined once from row
-fragments that rows share wherever their text agrees.
+fragments: rows that differ only in n share all their text but n.
 """
 
 from __future__ import annotations
@@ -196,15 +201,16 @@ def render_csv(rows: Iterable[CensusRow]) -> str:
 
 
 _FORMAT = "multisecant-census/1"
+_CITATIONS = ["secant-product-formula", "jnormal-bundle-criterion", "zak-linear-normality"]
 
 # One row of the census document as json.dumps(indent=2, sort_keys=True)
 # lays it out (keys sorted at every level, the row an item of "rows"), cut
-# where what the text depends on changes: the head on the flags and the
-# degrees, the inputs on the row itself, the values on the four value
-# columns and the verdicts on the two verdicts.  A sweep repeats its heads,
-# values and verdicts across n, so render_json renders each distinct one
-# once and the document shares it by reference until the final join.
-_ROW_HEAD = """    {
+# at its n, the one field that a sweep varies fastest.  Everything else in
+# a row repeats across n, so render_json renders the two halves once per
+# distinct rest of the row and the document shares them by reference until
+# the final join.
+_ROW_BEFORE_N = """,
+    {
       "citations": [
         "secant-product-formula",
         "jnormal-bundle-criterion",
@@ -216,90 +222,67 @@ _ROW_HEAD = """    {
       },
       "inputs": {
         "degrees": %s,
-        "j": """
-_ROW_INPUTS = """%s,
-        "n": %s,
+        "j": %s,
+        "n": """
+_ROW_AFTER_N = """,
         "r": %s
       },
       "values": {
-        "chern": """
-_ROW_VALUES = """%s,
+        "chern": %s,
         "degree": %s,
         "secant_degree": %s,
         "twisted_top_cherns": %s
       },
       "verdicts": {
-        "jnormal": """
-_ROW_VERDICTS = """%s,
+        "jnormal": %s,
         "zak": %s
       }
     }"""
+_ITEM = ",\n          "
+_SEAM = '"' + _ITEM + '"'
 
 
-def _json_value(value, indent: str) -> str:
-    """A decoded JSON value, or a tuple as a list, as the encoder writes it
-    where its line is indented by ``indent``; an int takes the encoder's
-    own int.__repr__."""
-    if type(value) is int:
-        return repr(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-
-
-def _json_ints(items: tuple) -> str:
-    """Ints as a list inside a row's section, where an item is indented ten
-    spaces; the same text as ``_json_value`` at a fraction of its cost."""
-    if not items:
-        return "[]"
-    return "[\n          " + ",\n          ".join(map(repr, items)) + "\n        ]"
-
-
-def _json_split(text: str) -> str:
-    """The ";"-separated string as a list of its parts, which is never empty.
-    Escaping never produces ";", so the string is encoded in one call and
-    each ";" becomes the seam between two encoded parts."""
-    parts = encode_basestring_ascii(text).replace(";", '",\n          "')
-    return "[\n          " + parts + "\n        ]"
+def _json_list(items: str) -> str:
+    """Encoded items, joined by ``_ITEM``, as a list inside a row's section,
+    where an item is indented ten spaces."""
+    return "[\n          " + items + "\n        ]" if items else "[]"
 
 
 def render_json(rows: Iterable[CensusRow]) -> str:
     """The census document, byte for byte as ``json.dumps(doc, indent=2,
     sort_keys=True) + "\\n"`` would write it.  The text is joined once from
-    one list of fragments; of each row only its n, r and j are its own."""
+    one list of fragments; of each row only its n is its own.
+
+    A ";"-separated string is encoded in one call: escaping never produces
+    ";", so each ";" becomes the seam between two encoded items."""
     encode = encode_basestring_ascii
-    heads, values, verdicts = {}, {}, {}
+    halves = {}
     parts = ['{\n  "format": "' + _FORMAT + '",\n  "rows": [']
-    for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent in rows:
-        flags = ("true" if consistent == "true" else "false", "true" if warning == "true" else "false")
-        # 1, True and 1.0 are equal keys that encode differently, and a list
-        # is no key at all, so only all-int degrees share their head
-        exact = {*map(type, degrees)} <= {int}
-        head = heads.get((flags, degrees)) if exact else None
-        if head is None:
-            listed = _json_ints(degrees) if exact else _json_value(degrees, " " * 8)
-            head = _ROW_HEAD % (*flags, listed)
-            if exact:
-                heads[flags, degrees] = head
-        shown = values.get((chern, degree, secant, twisted))
-        if shown is None:
-            shown = values[chern, degree, secant, twisted] = _ROW_VALUES % (
-                _json_split(chern), encode(degree), encode(secant), _json_split(twisted)
+    for row in rows:
+        rest = row[1:]
+        shared = halves.get(rest)
+        if shared is None:
+            r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent = rest
+            flags = ("true" if consistent == "true" else "false", "true" if warning == "true" else "false")
+            shared = halves[rest] = (
+                _ROW_BEFORE_N % (*flags, _json_list(_ITEM.join(map(repr, degrees))), j),
+                _ROW_AFTER_N % (
+                    r, _json_list(encode(chern).replace(";", _SEAM)), encode(degree), encode(secant),
+                    _json_list(encode(twisted).replace(";", _SEAM)), encode(jnormal), encode(zak),
+                ),
             )
-        verdict = verdicts.get((jnormal, zak))
-        if verdict is None:
-            verdict = verdicts[jnormal, zak] = _ROW_VERDICTS % (encode(jnormal), encode(zak))
-        inputs = _ROW_INPUTS % (_json_value(j, " " * 8), _json_value(n, " " * 8), _json_value(r, " " * 8))
-        parts += (",\n", head, inputs, shown, verdict)
+        parts += (shared[0], repr(row[0]), shared[1])
     if len(parts) == 1:
         parts.append("]\n}\n")
     else:
-        parts[1] = "\n"  # the first row follows the opening bracket, not a comma
+        parts[1] = parts[1][1:]  # the first row follows the opening bracket, not a comma
         parts.append("\n  ]\n}\n")
     return "".join(parts)
 
 
 def parse_csv(text: str) -> list[CensusRow]:
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader))
+    header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected census header: {header!r}")
     make = CensusRow._make
@@ -313,36 +296,59 @@ def parse_csv(text: str) -> list[CensusRow]:
 def _json_row(obj: dict):
     """``object_hook`` of ``parse_json``: a row object becomes a
     ``CensusRow`` as soon as the decoder completes it.  Its sections and
-    the top level have no ``"inputs"`` key and pass through unchanged."""
+    the top level have no ``"inputs"`` key and pass through unchanged.
+
+    This is where a row is held to census.schema.json: every key present
+    and no other, n, r, j and each degree an int, the value and verdict
+    fields strings, the flags booleans and the citations the three the
+    writer writes.  A row that passes holds the types ``enumerate_rows``
+    gives, and ``render_json`` writes it back as it was read.  One that
+    does not raises ``ValueError``, or, for a missing key or a wrong
+    container, the ``KeyError`` or ``TypeError`` that ``parse_json``
+    turns into one.
+    """
     if "inputs" not in obj:
         return obj
     inputs, values, verdicts, flags = obj["inputs"], obj["values"], obj["verdicts"], obj["flags"]
-    return CensusRow._make((
-        inputs["n"],
-        inputs["r"],
-        tuple(inputs["degrees"]),
-        inputs["j"],
-        values["degree"],
-        ";".join(values["chern"]),
-        ";".join(values["twisted_top_cherns"]),
-        values["secant_degree"],
-        verdicts["jnormal"],
-        verdicts["zak"],
-        "true" if flags["integrality_warning"] else "false",
-        "true" if flags["d_consistent"] else "false",
-    ))
+    n, r, degrees, j, degree, cherns, twisteds, secant, jnormal, zak, warning, consistent = (
+        inputs["n"], inputs["r"], inputs["degrees"], inputs["j"],
+        values["degree"], values["chern"], values["twisted_top_cherns"], values["secant_degree"],
+        verdicts["jnormal"], verdicts["zak"], flags["integrality_warning"], flags["d_consistent"],
+    )
+    chern, twisted = ";".join(cherns), ";".join(twisteds)  # TypeError on an item that is not a string
+    if (
+        (len(obj), len(inputs), len(values), len(verdicts), len(flags)) != (5, 4, 4, 2, 2)
+        or not type(n) is type(r) is type(j) is int
+        or not type(degree) is type(secant) is type(jnormal) is type(zak) is str
+        or not type(degrees) is type(cherns) is type(twisteds) is list
+        or not type(warning) is type(consistent) is bool
+        or not {int}.issuperset(map(type, degrees))
+        or obj.get("citations") != _CITATIONS
+        # an item holding ";" would be written back as two, an empty list as [""]
+        or chern.count(";") != len(cherns) - 1
+        or twisted.count(";") != len(twisteds) - 1
+    ):
+        raise ValueError("census row does not match the schema")
+    return CensusRow(
+        n, r, tuple(degrees), j, degree, chern, twisted, secant, jnormal, zak,
+        "true" if warning else "false", "true" if consistent else "false",
+    )
 
 
 def parse_json(text: str) -> list[CensusRow]:
     """The rows of a census document.  Each row is built while the text is
-    decoded, so the decoded document is never held, only the rows."""
-    doc = json.loads(text, object_hook=_json_row)
+    decoded, so the decoded document is never held, only the rows.  A
+    document that does not match census.schema.json raises ``ValueError``."""
+    try:
+        doc = json.loads(text, object_hook=_json_row)
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"census document does not match the schema: {exc!r}") from exc
     found = doc.get("format") if type(doc) is dict else None
     if found != _FORMAT:
         raise ValueError(f"unexpected census format: {found!r}")
     rows = doc.get("rows")
-    if type(rows) is not list or any(type(row) is not CensusRow for row in rows):
-        raise ValueError("census rows must be a list of row objects")
+    if len(doc) != 2 or type(rows) is not list or any(type(row) is not CensusRow for row in rows):
+        raise ValueError("a census document holds its format and a list of row objects, no more")
     return rows
 
 
@@ -352,10 +358,7 @@ def verify_rows(rows: Iterable[CensusRow]) -> list[str]:
     problems = []
     sweep = _Sweep()
     for idx, row in enumerate(rows):
-        # a value that equals an int without being one (2.0, True) would share
-        # its cache entries, so such a row gets a cache of its own
-        exact = {type(row.n), type(row.j), *map(type, row.degrees)} == {int}
-        fresh = (sweep if exact else _Sweep()).row(row.n, row.degrees, row.j)
+        fresh = sweep.row(row.n, row.degrees, row.j)
         if fresh != row:
             problems.append(f"row {idx}: stored {row} != recomputed {fresh}")
     return problems

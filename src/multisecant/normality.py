@@ -23,13 +23,6 @@ INAPPLICABLE = "inapplicable"
 class Hypothesis(Record):
     __slots__ = ("name", "condition", "left", "right", "satisfied")
 
-    def __init__(self, name: str, condition: str, left: int, right: int, satisfied: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "satisfied", satisfied)
-
     def render_sides(self) -> tuple[str, str]:
         def side(v) -> str:
             if isinstance(v, bool):
@@ -41,12 +34,6 @@ class Hypothesis(Record):
 
 class Verdict(Record):
     __slots__ = ("outcome", "hypotheses", "citation", "notes")
-
-    def __init__(self, outcome: str, hypotheses: tuple, citation: str, notes: tuple = ()):
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "hypotheses", hypotheses)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "notes", notes)
 
 
 def _ineq(name: str, condition: str, left, right) -> Hypothesis:
@@ -107,7 +94,7 @@ def check_jnormal_general(
         outcome = HOLDS
     else:
         outcome = FAILS
-    return Verdict(outcome, hyps, "jnormal-secant-criterion")
+    return Verdict(outcome, hyps, "jnormal-secant-criterion", ())
 
 
 def check_jnormal_bundle(
@@ -157,7 +144,7 @@ def check_2normal(cv: ChernVector) -> Verdict:
         _ineq("codim_bound", "6r <= m-4", 6 * r, m - 4),
     )
     outcome = HOLDS if all(h.satisfied for h in hyps) else FAILS
-    return Verdict(outcome, hyps, "quadratic-normality-criterion")
+    return Verdict(outcome, hyps, "quadratic-normality-criterion", ())
 
 
 def check_linear_normality_zak(n: int, r: int) -> Verdict:
@@ -174,6 +161,7 @@ def check_linear_normality_zak(n: int, r: int) -> Verdict:
         HOLDS if hyp.satisfied else INAPPLICABLE,
         (hyp,),
         "zak-linear-normality",
+        (),
     )
 
 

@@ -193,29 +193,41 @@ _ints = st.one_of(
     st.integers(-(10**40), 10**40),
     st.sampled_from([0, -(10**39) - 7, 10**40 - 1]),
 )
-# parse_json keeps whatever scalar a file holds, and the writer must too
-_scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
 # quotes, backslashes, control characters, non-ASCII and lone surrogates
 _texts = st.one_of(
     st.text(st.characters(blacklist_categories=()), max_size=12),
     st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é;ü", "\U0001f600", ";", ""]),
 )
-_census_rows = st.builds(
-    CensusRow,
-    n=_scalars,
-    r=_scalars,
-    # a list item is what parse_json keeps from a nested array
-    degrees=st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4).map(tuple),
-    j=st.integers(0, 6),
-    degree=_texts,
-    chern=_texts,
-    twisted_top_cherns=_texts,
-    secant_degree=_texts,
-    jnormal=_texts,
-    zak=_texts,
-    integrality_warning=st.sampled_from(["true", "false"]),
-    d_consistent=st.sampled_from(["true", "false"]),
-)
+
+
+def _rows_of(ints, degrees):
+    return st.builds(
+        CensusRow,
+        n=ints,
+        r=ints,
+        degrees=degrees.map(tuple),
+        j=ints,
+        degree=_texts,
+        chern=_texts,
+        twisted_top_cherns=_texts,
+        secant_degree=_texts,
+        jnormal=_texts,
+        zak=_texts,
+        integrality_warning=st.sampled_from(["true", "false"]),
+        d_consistent=st.sampled_from(["true", "false"]),
+    )
+
+
+# rows whose fields have the types census.schema.json gives them
+_census_rows = _rows_of(_ints, st.lists(_ints, max_size=4))
+# and rows whose inputs a document may hold in their place: bools, floats,
+# null and nested arrays
+_scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
+_wide_rows = _rows_of(_scalars, st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4))
+
+
+def _schema_typed(row):
+    return all(type(value) is int for value in (row.n, row.r, row.j, *row.degrees))
 
 
 @given(st.lists(_census_rows, max_size=4))
@@ -225,22 +237,23 @@ def test_json_writer_matches_json_dumps(rows):
     assert parse_json(text) == rows
 
 
+@given(st.lists(_wide_rows, max_size=3))
+def test_json_reader_takes_exactly_the_rows_of_schema_type(rows):
+    text = _reference_json(rows)
+    if all(map(_schema_typed, rows)):
+        assert parse_json(text) == rows
+    else:
+        with pytest.raises(ValueError):
+            parse_json(text)
+
+
 def test_json_writer_on_no_rows_and_on_the_grid():
     assert render_json([]) == _reference_json([])
     rows = enumerate_rows(3, (-3, 6), (4, 6), 2)
     assert render_json(rows) == _reference_json(rows)
-
-
-@pytest.mark.parametrize("order", [1, -1], ids=["int-first", "int-last"])
-def test_json_writer_shares_only_degrees_that_encode_alike(order):
-    # (1,), (True,) and (1.0,) are equal, hash alike and encode as 1, true
-    # and 1.0; ([1], 2) cannot be a key at all
-    row = compute_row(5, (1, 3), 1)
-    degrees = [(1,), (True,), (1.0,), ([1], 2), (1,), (True,)][::order]
-    rows = [row._replace(degrees=d) for d in degrees]
-    text = render_json(rows)
-    assert text == _reference_json(rows)
-    assert parse_json(text) == rows
+    # one n, so no two rows share their text
+    rows = enumerate_rows(2, (1, 60), (3, 3), 6)
+    assert render_json(rows) == _reference_json(rows)
 
 
 # -- the JSON writer's memory ---------------------------------------------------
@@ -297,9 +310,17 @@ def _one_row_doc():
     return json.loads(render_json([compute_row(5, (2, 3), 1)]))
 
 
-def _without(key):
+def _without(section, key):
     doc = _one_row_doc()
-    del doc["rows"][0][key]
+    row = doc["rows"][0]
+    del (row[section] if section else row)[key]
+    return doc
+
+
+def _with(section, key, value):
+    doc = _one_row_doc()
+    row = doc["rows"][0]
+    (row[section] if section else row)[key] = value
     return doc
 
 
@@ -313,8 +334,8 @@ _MALFORMED = {
     "row-is-a-list": _rows_doc([[5, 2, [2, 3], 1]]),
     "row-is-a-string": _rows_doc(["5,2,2;3,1"]),
     "row-is-a-number": _rows_doc([5]),
-    "row-without-inputs": _without("inputs"),
-    "row-without-values": _without("values"),
+    "row-without-inputs": _without(None, "inputs"),
+    "row-without-values": _without(None, "values"),
     "row-after-a-non-row": _rows_doc(_one_row_doc()["rows"] + [{}]),
     "top-level-is-a-list": _one_row_doc()["rows"],
     "top-level-is-a-row": _one_row_doc()["rows"][0],
@@ -323,13 +344,55 @@ _MALFORMED = {
     "rows-missing": {"format": "multisecant-census/1"},
     "rows-is-an-object": _rows_doc({}),
     "rows-is-a-string": _rows_doc("abc"),
+    "extra-key-at-the-top-level": {**_one_row_doc(), "count": 1},
+    "extra-key-in-a-row": _with(None, "notes", []),
+    "extra-key-in-inputs": _with("inputs", "m", 3),
+    "extra-key-in-values": _with("values", "segre", "1"),
+    "extra-key-in-verdicts": _with("verdicts", "ran", "holds"),
+    "extra-key-in-flags": _with("flags", "degenerate", False),
+    "citations-a-number": _with(None, "citations", 5),
+    "citations-missing": _without(None, "citations"),
+    "citations-reordered": _with(None, "citations", _one_row_doc()["rows"][0]["citations"][::-1]),
+    "citations-one-short": _with(None, "citations", _one_row_doc()["rows"][0]["citations"][:2]),
+    "n-missing": _without("inputs", "n"),
+    "zak-missing": _without("verdicts", "zak"),
+    "inputs-is-a-list": _with(None, "inputs", [5, 2, [2, 3], 1]),
+    "values-is-a-string": _with(None, "values", "6"),
+    "n-is-a-float": _with("inputs", "n", 5.0),
+    "n-is-a-bool": _with("inputs", "n", True),
+    "r-is-a-string": _with("inputs", "r", "2"),
+    "j-is-null": _with("inputs", "j", None),
+    "degrees-is-a-string": _with("inputs", "degrees", "2;3"),
+    "degree-item-is-a-float": _with("inputs", "degrees", [2.0, 3]),
+    "degree-item-is-a-list": _with("inputs", "degrees", [[2], 3]),
+    "degree-is-an-int": _with("values", "degree", 6),
+    "secant-degree-is-null": _with("values", "secant_degree", None),
+    "chern-is-a-string": _with("values", "chern", "1;5;6"),
+    "chern-item-is-an-int": _with("values", "chern", ["1", 5, "6"]),
+    "chern-item-holds-the-separator": _with("values", "chern", ["1;5", "6"]),
+    "chern-is-empty": _with("values", "chern", []),
+    "twisted-item-is-a-list": _with("values", "twisted_top_cherns", [["6"], "2"]),
+    "jnormal-is-a-bool": _with("verdicts", "jnormal", False),
+    "flag-is-a-string": _with("flags", "d_consistent", "true"),
+    "flag-is-an-int": _with("flags", "integrality_warning", 0),
 }
 
 
 @pytest.mark.parametrize("doc", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_malformed_json_raises(doc):
-    with pytest.raises((ValueError, KeyError, TypeError)):
+    with pytest.raises(ValueError):
         parse_json(json.dumps(doc))
+
+
+def test_json_nested_past_the_recursion_limit_raises():
+    with pytest.raises(ValueError, match="RecursionError"):
+        parse_json("[" * 100_000)
+
+
+@pytest.mark.parametrize("text", ["", "\n"])
+def test_csv_without_a_header_raises(text):
+    with pytest.raises(ValueError, match=r"unexpected census header: \(\)"):
+        parse_csv(text)
 
 
 _ROW_KEYS = ["rows", "inputs", "values", "verdicts", "flags", "n", "r", "degrees", "j",
@@ -355,7 +418,7 @@ _json_values = st.recursive(
 def test_json_reader_returns_only_rows_or_raises(doc):
     try:
         parsed = parse_json(json.dumps(doc))
-    except (ValueError, KeyError, TypeError):
+    except ValueError:
         return
     assert type(parsed) is list and all(type(row) is CensusRow for row in parsed)
 
@@ -425,19 +488,6 @@ def test_rows_outside_the_range_raise_as_compute_row_does(n, degrees, j):
     with pytest.raises(fresh.type):
         sweep.row(n, degrees, j)
     assert sweep.values == {} and sweep.verdicts == {}
-
-
-@pytest.mark.parametrize("field, value", [("n", 5.0), ("degrees", (2.0, 3)), ("j", 1.0)])
-def test_rows_with_inputs_that_only_equal_ints_are_not_shared(field, value):
-    # a float input raises in compute_row; it must not read the entries that
-    # the int row with equal inputs left in the cache
-    good = compute_row(5, (2, 3), 1)
-    odd = good._replace(**{field: value})
-    with pytest.raises(TypeError) as fresh:
-        compute_row(odd.n, odd.degrees, odd.j)
-    with pytest.raises(TypeError) as swept:
-        verify_rows([good, odd])
-    assert str(swept.value) == str(fresh.value)
 
 
 # -- pinned output and row semantics ----------------------------------------------

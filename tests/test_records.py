@@ -52,7 +52,7 @@ RECORDS = [
         "satisfied=False)",
     ),
     (
-        lambda: Verdict("holds", (), "zak-linear-normality"),
+        lambda: Verdict("holds", (), "zak-linear-normality", ()),
         "Verdict(outcome='holds', hypotheses=(), citation='zak-linear-normality', notes=())",
     ),
     (
