@@ -11,23 +11,34 @@ truncated, so c_r(E(-i)) = prod_k (d_k - i) and every value column
 depends only on the degree tuple and j.  A row depends on n only through
 its two verdicts, which depend only on (n, r, j) and on whether any factor
 c_r(E(-i)), i = 1..j, vanishes.  A sweep computes each of the two parts
-once and builds its rows from them.
+once and builds its rows from them.  Of the verdicts only zak reads n
+itself; jnormal reads it only through whether n reaches the least n at
+which both j-normality bounds hold.
 
 Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
-order, so the CSV writer passes each row on with only ``degrees`` joined
-and both readers build rows positionally.  Every row holds the types
-census.schema.json gives its fields: n, r, j and each degree an ``int``
-(never a ``bool`` or ``float``), every other field a ``str``.
+order, and both readers build rows positionally.  Every row holds the
+types census.schema.json gives its fields: n, r, j and each degree an
+``int`` (never a ``bool`` or ``float``), every other field a ``str``.
 ``enumerate_rows`` and ``parse_csv`` build rows that way, and the JSON
 reader refuses a row any other way with ``ValueError``, so the writers and
-``verify_rows`` take the types as given.  The JSON reader builds each row
-as the decoder completes it and never holds the decoded document.
+``verify_rows`` take the types as given.
+
+Per-row work is only n: n is the field a sweep varies fastest, and rows
+that differ only in n share everything else.  Both writers format each
+distinct rest of a row once and put n in front of it, and both readers
+convert each distinct rest once.  The JSON reader reads a document only
+in the bytes the JSON writer writes: it cuts the text at each row's n,
+decodes each distinct text around n once, and requires that it render
+back to the same bytes and that n's digits be those ``repr`` writes.  A
+reformatted document, or one with a duplicated key, raises
+``ValueError``; the decoded document is never held.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
-never as floats.  The JSON writer emits exactly the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)``, joined once from row
-fragments: rows that differ only in n share all their text but n.
+never as floats.  The CSV writer emits exactly the bytes of one
+``csv.writer`` with ``lineterminator="\\n"``, and the JSON writer those of
+``json.dumps(doc, indent=2, sort_keys=True)``, each joined once from row
+fragments.
 """
 
 from __future__ import annotations
@@ -37,13 +48,14 @@ import io
 import itertools
 import json
 import math
+import types
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .bundles import complete_intersection_bundle
 from .errors import HypothesisError
-from .normality import check_jnormal_bundle, check_linear_normality_zak
+from .normality import check_jnormal_bundle, check_linear_normality_zak, jnormal_min_ambient_dim
 from .secants import multisecant_report
 
 CSV_HEADER = (
@@ -90,22 +102,27 @@ CensusRow.__doc__ = """One complete intersection with its computed invariants.
 
 
 class _Sweep:
-    """Rows built from two caches that live as long as one sweep.
+    """Rows built from three caches that live as long as one sweep.
 
     ``values`` maps (degrees, j) to the value columns, the two flags, the
     factors c_r(E(-i)) for i = 0..j and whether any of them with i >= 1
     vanishes; ``verdicts`` maps (n, r, j, that flag) to the jnormal and zak
     outcomes.  This is exact because the criterion holds only when every
     hypothesis does, so which factor vanishes never changes its outcome,
-    and zak reads only (n, r).  The value part is exact only for n > r, so both
-    parts are stored only after the verdicts are made: a row with n <= r
-    or j < 1 raises there, as ``compute_row`` always has, and stores
-    nothing.
+    and zak reads only (n, r).  Both j-normality bounds grow with n and
+    hold from ``jnormal_min_ambient_dim(r, j)`` on, so ``jnormals`` maps
+    (r, j, that flag, whether n reaches that least n) to the jnormal
+    outcome, and a verdict miss costs one zak check.  The value part is
+    exact only for n > r, so every part is stored only after the verdicts
+    are made.  A row with n <= r or j < 1 never takes its jnormal outcome
+    from the cache: it raises in the full check, as ``compute_row`` always
+    has, and stores nothing.
     """
 
     def __init__(self):
         self.values = {}
         self.verdicts = {}
+        self.jnormals = {}
 
     def row(self, n: int, degrees: Sequence[int], j: int) -> CensusRow:
         degrees = tuple(degrees)
@@ -132,12 +149,15 @@ class _Sweep:
         degree, chern, twisted, secant, warning, consistent, factors, vanishes = values
         verdicts = self.verdicts.get((n, r, j, vanishes))
         if verdicts is None:
-            if bundle is None:
-                bundle = complete_intersection_bundle(n, degrees)
-            verdicts = (
-                check_jnormal_bundle(bundle, j, factors).outcome,
-                check_linear_normality_zak(n, r).outcome,
-            )
+            # a row outside the range has no key, so it takes the full check
+            key = (r, j, vanishes, n >= jnormal_min_ambient_dim(r, j)) if n > r and j > 0 else None
+            jnormal = self.jnormals.get(key)
+            if jnormal is None:
+                if bundle is None:
+                    bundle = complete_intersection_bundle(n, degrees)
+                jnormal = check_jnormal_bundle(bundle, j, factors).outcome
+            verdicts = (jnormal, check_linear_normality_zak(n, r).outcome)
+            self.jnormals[key] = jnormal
             self.verdicts[n, r, j, vanishes] = verdicts
         if miss:
             self.values[degrees, j] = values
@@ -192,12 +212,24 @@ def enumerate_rows(
     return [row(n, degrees, j) for n in range(lo_n, hi_n + 1) for degrees in tuples]
 
 
+# writerow returns what its file's write returns, so a writer whose write
+# is str hands back the line it formats
+_csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
 def render_csv(rows: Iterable[CensusRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(row[:2] + (";".join(map(str, row.degrees)),) + row[3:] for row in rows)
-    return buf.getvalue()
+    """The CSV census, byte for byte as one ``csv.writer`` with
+    ``lineterminator="\\n"`` would write it.  Each distinct rest of a row
+    is formatted once, behind an empty first field, and n is put in front."""
+    tails = {}
+    parts = [_csv_line(CSV_HEADER)]
+    for row in rows:
+        rest = row[1:]
+        tail = tails.get(rest)
+        if tail is None:
+            tail = tails[rest] = _csv_line(("", rest[0], ";".join(map(str, rest[1])), *rest[2:]))
+        parts += (str(row[0]), tail)
+    return "".join(parts)
 
 
 _FORMAT = "multisecant-census/1"
@@ -248,64 +280,81 @@ def _json_list(items: str) -> str:
     return "[\n          " + items + "\n        ]" if items else "[]"
 
 
-def render_json(rows: Iterable[CensusRow]) -> str:
-    """The census document, byte for byte as ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` would write it.  The text is joined once from
-    one list of fragments; of each row only its n is its own.
+def _halves(rest: tuple) -> tuple[str, str]:
+    """The text of a row around its n, from the comma before the row to the
+    comma after n and from there to the row's closing brace, for the row
+    minus n.
 
     A ";"-separated string is encoded in one call: escaping never produces
     ";", so each ";" becomes the seam between two encoded items."""
+    r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent = rest
     encode = encode_basestring_ascii
+    flags = ("true" if consistent == "true" else "false", "true" if warning == "true" else "false")
+    return (
+        _ROW_BEFORE_N % (*flags, _json_list(_ITEM.join(map(repr, degrees))), j),
+        _ROW_AFTER_N % (
+            r, _json_list(encode(chern).replace(";", _SEAM)), encode(degree), encode(secant),
+            _json_list(encode(twisted).replace(";", _SEAM)), encode(jnormal), encode(zak),
+        ),
+    )
+
+
+_HEAD = '{\n  "format": "' + _FORMAT + '",\n  "rows": ['
+_TAIL = "\n  ]\n}\n"
+_EMPTY_TAIL = "]\n}\n"
+
+
+def render_json(rows: Iterable[CensusRow]) -> str:
+    """The census document, byte for byte as ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` would write it.  The text is joined once from
+    one list of fragments; of each row only its n is its own."""
     halves = {}
-    parts = ['{\n  "format": "' + _FORMAT + '",\n  "rows": [']
+    parts = [_HEAD]
     for row in rows:
         rest = row[1:]
         shared = halves.get(rest)
         if shared is None:
-            r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent = rest
-            flags = ("true" if consistent == "true" else "false", "true" if warning == "true" else "false")
-            shared = halves[rest] = (
-                _ROW_BEFORE_N % (*flags, _json_list(_ITEM.join(map(repr, degrees))), j),
-                _ROW_AFTER_N % (
-                    r, _json_list(encode(chern).replace(";", _SEAM)), encode(degree), encode(secant),
-                    _json_list(encode(twisted).replace(";", _SEAM)), encode(jnormal), encode(zak),
-                ),
-            )
+            shared = halves[rest] = _halves(rest)
         parts += (shared[0], repr(row[0]), shared[1])
     if len(parts) == 1:
-        parts.append("]\n}\n")
+        parts.append(_EMPTY_TAIL)
     else:
         parts[1] = parts[1][1:]  # the first row follows the opening bracket, not a comma
-        parts.append("\n  ]\n}\n")
+        parts.append(_TAIL)
     return "".join(parts)
 
 
 def parse_csv(text: str) -> list[CensusRow]:
+    """The rows of a CSV census; each distinct row minus n is converted once."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected census header: {header!r}")
+    rows, rests = [], {}
     make = CensusRow._make
-    return [
-        make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
-              degree, chern, twisted, secant, jnormal, zak, warn, cons))
-        for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
-    ]
+    for fields in reader:
+        key = tuple(fields[1:])
+        rest = rests.get(key)
+        if rest is None:
+            r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons = key
+            rest = rests[key] = (int(r), tuple(map(int, degrees.split(";"))), int(j),
+                                 degree, chern, twisted, secant, jnormal, zak, warn, cons)
+        rows.append(make((int(fields[0]), *rest)))
+    return rows
 
 
 def _json_row(obj: dict):
-    """``object_hook`` of ``parse_json``: a row object becomes a
-    ``CensusRow`` as soon as the decoder completes it.  Its sections and
-    the top level have no ``"inputs"`` key and pass through unchanged.
+    """``object_hook`` of the JSON reader's row decoder: a row object
+    becomes a ``CensusRow`` as soon as the decoder completes it.  Its
+    sections have no ``"inputs"`` key and pass through unchanged.
 
     This is where a row is held to census.schema.json: every key present
     and no other, n, r, j and each degree an int, the value and verdict
     fields strings, the flags booleans and the citations the three the
     writer writes.  A row that passes holds the types ``enumerate_rows``
-    gives, and ``render_json`` writes it back as it was read.  One that
-    does not raises ``ValueError``, or, for a missing key or a wrong
-    container, the ``KeyError`` or ``TypeError`` that ``parse_json``
-    turns into one.
+    gives, so ``_halves`` can render it again.  One that does not raises
+    ``ValueError``, or, for a missing key or a wrong container, the
+    ``KeyError`` or ``TypeError`` that ``_json_rest`` turns into one.
     """
     if "inputs" not in obj:
         return obj
@@ -335,20 +384,77 @@ def _json_row(obj: dict):
     )
 
 
-def parse_json(text: str) -> list[CensusRow]:
-    """The rows of a census document.  Each row is built while the text is
-    decoded, so the decoded document is never held, only the rows.  A
-    document that does not match census.schema.json raises ``ValueError``."""
+_N = '"n": '
+_ROW_END = "\n    }"
+# every row starts with this much fixed text (up to its first flag), so a
+# reader starts its search for n's seam past it
+_ROW_START = _ROW_BEFORE_N.index("%s")
+
+
+def _json_rest(before: str, after: str) -> tuple:
+    """The row minus n whose text around n is ``before`` and ``after``,
+    the first character of ``before`` aside: the row is decoded with n = 0,
+    held to the schema by ``_json_row``, and must render back to the same
+    text."""
     try:
-        doc = json.loads(text, object_hook=_json_row)
+        row = json.loads(before[1:] + "0" + after, object_hook=_json_row)
     except (KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"census document does not match the schema: {exc!r}") from exc
-    found = doc.get("format") if type(doc) is dict else None
-    if found != _FORMAT:
-        raise ValueError(f"unexpected census format: {found!r}")
-    rows = doc.get("rows")
-    if len(doc) != 2 or type(rows) is not list or any(type(row) is not CensusRow for row in rows):
-        raise ValueError("a census document holds its format and a list of row objects, no more")
+        raise ValueError(f"census row does not match the schema: {exc!r}") from exc
+    if type(row) is not CensusRow:
+        raise ValueError("a census row is an object with an \"inputs\" key")
+    rest = row[1:]
+    shared = _halves(rest)
+    if shared[0][1:] != before[1:] or shared[1] != after:
+        raise ValueError("census row is not laid out as render_json writes it")
+    return rest
+
+
+def parse_json(text: str) -> list[CensusRow]:
+    """The rows of a census document, read only in the bytes ``render_json``
+    writes: anything else raises ``ValueError``, so a document that reads
+    back is one the writer writes back unchanged.
+
+    Each row's text is cut with ``str.find`` at its n and the comma after
+    it.  The text before n and the text after it up to the row's closing
+    brace are decoded once for each distinct pair; a row whose text before
+    n was read before is matched against the texts after n read with it,
+    so only a new row's end is searched for.  The rows share the decoded
+    fields and the decoded document is never held.  Of each row only n is
+    read on its own, and its digits must be those ``repr`` writes."""
+    if not text.startswith(_HEAD):
+        raise ValueError(f"not a {_FORMAT} document as render_json writes it: {text[:len(_HEAD)]!r}")
+    if text == _HEAD + _EMPTY_TAIL:
+        return []
+    rows, rests = [], {}
+    make = CensusRow._make
+    pos = len(_HEAD) - 1  # each row's text starts one character early: at "[" or ","
+    while True:
+        seam = text.find(_N, pos + _ROW_START)
+        stop = text.find(",", seam)
+        if seam < 0 or stop < 0:
+            raise ValueError("census document ends inside a row")
+        seam += len(_N)
+        before = text[pos:seam]
+        for after, rest in rests.get(before, ()):
+            if text.startswith(after, stop):
+                break
+        else:
+            end = text.find(_ROW_END, stop)
+            if end < 0:
+                raise ValueError("census document ends inside a row")
+            after = text[stop : end + len(_ROW_END)]
+            rest = _json_rest(before, after)
+            rests.setdefault(before, []).append((after, rest))
+        digits = text[seam:stop]
+        n = int(digits)
+        if repr(n) != digits:
+            raise ValueError(f"census row's n is not written as render_json writes it: {digits!r}")
+        rows.append(make((n, *rest)))
+        pos = stop + len(after)
+        if not text.startswith(",", pos):
+            break
+    if text[pos:] != _TAIL:
+        raise ValueError("census document does not end as render_json ends it")
     return rows
 
 

@@ -182,8 +182,8 @@ def jnormal_min_ambient_dim(r: int, j: int) -> int:
     """Smallest n = m + r satisfying both j-normality bounds:
     n = r + max(2(r+1)j + r, (j+1)((r+1)j-1) + 1).
 
-    Only tests/test_normality.py and acceptance criterion 07 call it for
-    now; ROADMAP item 3 gives it a caller in the identity registry.
+    Both bounds grow with n, so they hold exactly from this n on; a census
+    sweep reads a row's j-normality outcome from it (``census._Sweep``).
     """
     if r < 1 or j < 1:
         raise HypothesisError(f"parameters must be positive: r={r}, j={j}")

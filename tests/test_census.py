@@ -1,5 +1,6 @@
 """Census generation, serialization round-trips, schema validation."""
 
+import csv
 import hashlib
 import io
 import itertools
@@ -28,7 +29,7 @@ from multisecant.census import (
     verify_rows,
 )
 from multisecant.errors import HypothesisError
-from multisecant.normality import check_jnormal_bundle
+from multisecant.normality import check_jnormal_bundle, jnormal_min_ambient_dim
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,49 @@ def test_json_reader_takes_exactly_the_rows_of_schema_type(rows):
             parse_json(text)
 
 
+def _reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(row[:2] + (";".join(map(str, row.degrees)),) + row[3:])
+    return buf.getvalue()
+
+
+# rows that census.schema.json admits: at least one degree, rational strings
+# and outcome words
+_rationals = st.one_of(_ints.map(str), st.builds("{}/{}".format, _ints, st.integers(1, 10**30)))
+_outcomes = st.sampled_from(["holds", "fails", "inapplicable"])
+_schema_rows = st.builds(
+    CensusRow,
+    n=_ints,
+    r=_ints,
+    degrees=st.lists(_ints, min_size=1, max_size=4).map(tuple),
+    j=_ints,
+    degree=_rationals,
+    chern=st.lists(_rationals, min_size=1, max_size=4).map(";".join),
+    twisted_top_cherns=st.lists(_rationals, min_size=1, max_size=4).map(";".join),
+    secant_degree=_rationals,
+    jnormal=_outcomes,
+    zak=_outcomes,
+    integrality_warning=st.sampled_from(["true", "false"]),
+    d_consistent=st.sampled_from(["true", "false"]),
+)
+
+
+@given(st.lists(_census_rows, max_size=4), st.lists(_schema_rows, max_size=4))
+def test_csv_writer_matches_csv_module(rows, schema_rows):
+    # texts with commas, quotes, CR and LF are quoted as the csv module
+    # quotes them, one row at a time
+    # and once more, with rows that differ from the first in one field each
+    mixed = rows + [rows[0]._replace(**{name: getattr(row, name)}) for row in rows for name in CSV_HEADER]
+    assert render_csv(rows) == _reference_csv(rows)
+    assert render_csv(mixed) == _reference_csv(mixed)
+    text = render_csv(schema_rows)
+    assert text == _reference_csv(schema_rows)
+    assert parse_csv(text) == schema_rows
+
+
 def test_json_writer_on_no_rows_and_on_the_grid():
     assert render_json([]) == _reference_json([])
     rows = enumerate_rows(3, (-3, 6), (4, 6), 2)
@@ -378,15 +422,102 @@ _MALFORMED = {
 }
 
 
+def _laid_out(doc):
+    """The document in the writer's layout, so that a reader reaches its rows."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("doc", list(_MALFORMED.values()), ids=list(_MALFORMED))
-def test_malformed_json_raises(doc):
+@pytest.mark.parametrize("dump", [json.dumps, _laid_out], ids=["compact", "laid-out"])
+def test_malformed_json_raises(doc, dump):
     with pytest.raises(ValueError):
-        parse_json(json.dumps(doc))
+        parse_json(dump(doc))
 
 
 def test_json_nested_past_the_recursion_limit_raises():
+    # the nesting sits inside one row of the writer's layout, so the row's
+    # text reaches the decoder
+    text = render_json([compute_row(5, (2, 3), 1)])
+    deep = text.replace('"degrees": [', '"degrees": ' + "[" * 100_000, 1)
+    assert deep.count("[") > 100_000
     with pytest.raises(ValueError, match="RecursionError"):
-        parse_json("[" * 100_000)
+        parse_json(deep)
+
+
+# -- the reader takes only the writer's bytes ------------------------------------
+
+_FOOTER = "\n  ]\n}\n"
+
+
+def _one_row_text():
+    return render_json([compute_row(5, (2, 3), 1)])
+
+
+def _rows_text():
+    return render_json(enumerate_rows(2, (2, 3), (3, 6), 1))
+
+
+def _inputs_reordered():
+    doc = _one_row_doc()
+    inputs = doc["rows"][0]["inputs"]
+    doc["rows"][0]["inputs"] = {key: inputs[key] for key in ("r", "n", "j", "degrees")}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_EDITED = {
+    # the decoder keeps the last of a duplicated key, so this decodes to n = 6
+    "n-twice": lambda: _one_row_text().replace('"n": 5,', '"n": 5, "n": 6,'),
+    "n-twice-the-other-way": lambda: _one_row_text().replace('"n": 5,', '"n": 6, "n": 5,'),
+    "n-with-a-leading-zero": lambda: _one_row_text().replace('"n": 5,', '"n": 05,'),
+    "n-as-a-float": lambda: _one_row_text().replace('"n": 5,', '"n": 5.0,'),
+    "n-with-a-plus": lambda: _one_row_text().replace('"n": 5,', '"n": +5,'),
+    "n-with-a-space": lambda: _one_row_text().replace('"n": 5,', '"n": 5 ,'),
+    "r-twice": lambda: _one_row_text().replace('"r": 2\n', '"r": 2, "r": 3\n'),
+    "inputs-reordered": _inputs_reordered,
+    "a-space-inside-a-row": lambda: _one_row_text().replace('"j": 1,', '"j":  1,'),
+    "first-row-after-a-comma": lambda: _one_row_text().replace("[\n    {", "[,\n    {", 1),
+    "second-row-without-its-comma": lambda: _rows_text().replace("},\n    {", "}\n    {", 1),
+    "last-row-truncated": lambda: _rows_text()[: _rows_text().rindex('"r": ')],
+    "last-row-without-its-brace": lambda: _rows_text()[: -len("}" + _FOOTER)],
+    "footer-missing": lambda: _rows_text()[: -len(_FOOTER)],
+    "final-newline-missing": lambda: _rows_text()[:-1],
+    "bytes-after-the-footer": lambda: _rows_text() + "\n",
+    "a-second-document": lambda: _rows_text() * 2,
+    "no-rows-and-bytes-after": lambda: render_json([]) + " ",
+    "nested-past-the-recursion-limit": lambda: "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("edit", list(_EDITED.values()), ids=list(_EDITED))
+def test_text_the_writer_does_not_write_raises(edit):
+    text = edit()
+    assert text != _one_row_text() and text != _rows_text()
+    with pytest.raises(ValueError):
+        parse_json(text)
+
+
+@pytest.fixture(scope="module")
+def grid_text():
+    return render_json(enumerate_rows(2, (1, 20), (3, 60), 2))
+
+
+@pytest.mark.parametrize(
+    "dump",
+    [lambda doc: json.dumps(doc, indent=4, sort_keys=True) + "\n", json.dumps,
+     lambda doc: json.dumps(doc, separators=(",", ":"))],
+    ids=["indent-4", "compact", "no-spaces"],
+)
+def test_reformatted_grid_raises(grid_text, dump):
+    # the same document, decoded and encoded again in another layout
+    text = dump(json.loads(grid_text))
+    assert text != grid_text
+    with pytest.raises(ValueError):
+        parse_json(text)
+
+
+def test_grid_reads_back(grid_text):
+    rows = parse_json(grid_text)
+    assert len(rows) == 12180 and render_json(rows) == grid_text
 
 
 @pytest.mark.parametrize("text", ["", "\n"])
@@ -416,11 +547,13 @@ _json_values = st.recursive(
                            st.just(_one_row_doc()["rows"][0]),
                            st.lists(_json_values, max_size=2))))
 def test_json_reader_returns_only_rows_or_raises(doc):
-    try:
-        parsed = parse_json(json.dumps(doc))
-    except ValueError:
-        return
-    assert type(parsed) is list and all(type(row) is CensusRow for row in parsed)
+    for text in (json.dumps(doc), _laid_out(doc)):
+        try:
+            parsed = parse_json(text)
+        except ValueError:
+            continue
+        assert type(parsed) is list and all(type(row) is CensusRow for row in parsed)
+        assert render_json(parsed) == text
 
 
 # -- rows built from the sweep cache --------------------------------------------
@@ -566,3 +699,5 @@ def test_sweep_caches_one_entry_per_distinct_input(r, degree_range, ambient_rang
     }
     assert len(sweep.values) == len({(degrees, j) for _, degrees in inputs})
     assert len(sweep.verdicts) == len({(n, r, j, vanishes[degrees]) for n, degrees in inputs})
+    least = jnormal_min_ambient_dim(r, j)
+    assert len(sweep.jnormals) == len({(vanishes[degrees], n >= least) for n, degrees in inputs})

@@ -184,3 +184,10 @@ class TestBoundReductions:
             zak = check_linear_normality_zak(m + r, r).outcome == "holds"
             assert holds == (m >= 3 * r + 2)
             assert zak == (m >= 3 * r)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 6])
+    def test_least_ambient_dim_is_a_threshold(self, j):
+        # both bounds grow with m, so they hold exactly from the least n on;
+        # a census sweep keys its jnormal outcomes on n >= that least n
+        for r, m in self.GRID:
+            assert self.bounds_hold(m, r, j) == (m + r >= jnormal_min_ambient_dim(r, j))

@@ -36,7 +36,6 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 
 ALLOWED = {
     "ran_min_ambient_dim": "ROADMAP item 3 (bound reductions as checked identities)",
-    "jnormal_min_ambient_dim": "ROADMAP item 3 (bound reductions as checked identities)",
 }
 
 # Public names with no caller in the package that pass only because the
