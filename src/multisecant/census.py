@@ -25,13 +25,19 @@ reader refuses a row any other way with ``ValueError``, so the writers and
 
 Per-row work is only n: n is the field a sweep varies fastest, and rows
 that differ only in n share everything else.  Both writers format each
-distinct rest of a row once and put n in front of it, and both readers
-convert each distinct rest once.  The JSON reader reads a document only
-in the bytes the JSON writer writes: it cuts the text at each row's n,
-decodes each distinct text around n once, and requires that it render
-back to the same bytes and that n's digits be those ``repr`` writes.  A
-reformatted document, or one with a duplicated key, raises
-``ValueError``; the decoded document is never held.
+distinct rest of a row once and put n in front of it.  The JSON reader
+reads a document only in the bytes the JSON writer writes: it cuts the
+text at each row's n, decodes each distinct text around n once, and
+requires that it render back to the same bytes and that n's digits be
+those ``repr`` writes.  A reformatted document, or one with a duplicated
+key, raises ``ValueError``.  The decoded document is never held, but the
+text of each distinct row is, until the reader returns.  This pays where
+rows repeat, as they do across n; where none do (a sweep of one n), the
+JSON reader takes about 2.4x the time of one decode of the whole
+document and peaks at about three times its memory, and the CSV writer
+takes about 1.25x the time of one ``writerows``.  The CSV reader converts
+every row: a cache of its rows minus n saved little on the benchmark
+grid and cost 1.4x where no row repeats.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
@@ -325,22 +331,16 @@ def render_json(rows: Iterable[CensusRow]) -> str:
 
 
 def parse_csv(text: str) -> list[CensusRow]:
-    """The rows of a CSV census; each distinct row minus n is converted once."""
     reader = csv.reader(io.StringIO(text))
     header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ValueError(f"unexpected census header: {header!r}")
-    rows, rests = [], {}
     make = CensusRow._make
-    for fields in reader:
-        key = tuple(fields[1:])
-        rest = rests.get(key)
-        if rest is None:
-            r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons = key
-            rest = rests[key] = (int(r), tuple(map(int, degrees.split(";"))), int(j),
-                                 degree, chern, twisted, secant, jnormal, zak, warn, cons)
-        rows.append(make((int(fields[0]), *rest)))
-    return rows
+    return [
+        make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
+              degree, chern, twisted, secant, jnormal, zak, warn, cons))
+        for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
+    ]
 
 
 def _json_row(obj: dict):
@@ -386,9 +386,7 @@ def _json_row(obj: dict):
 
 _N = '"n": '
 _ROW_END = "\n    }"
-# every row starts with this much fixed text (up to its first flag), so a
-# reader starts its search for n's seam past it
-_ROW_START = _ROW_BEFORE_N.index("%s")
+_decode_row = json.JSONDecoder(object_hook=_json_row).decode
 
 
 def _json_rest(before: str, after: str) -> tuple:
@@ -397,7 +395,7 @@ def _json_rest(before: str, after: str) -> tuple:
     held to the schema by ``_json_row``, and must render back to the same
     text."""
     try:
-        row = json.loads(before[1:] + "0" + after, object_hook=_json_row)
+        row = _decode_row(before[1:] + "0" + after)
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"census row does not match the schema: {exc!r}") from exc
     if type(row) is not CensusRow:
@@ -414,13 +412,11 @@ def parse_json(text: str) -> list[CensusRow]:
     writes: anything else raises ``ValueError``, so a document that reads
     back is one the writer writes back unchanged.
 
-    Each row's text is cut with ``str.find`` at its n and the comma after
-    it.  The text before n and the text after it up to the row's closing
-    brace are decoded once for each distinct pair; a row whose text before
-    n was read before is matched against the texts after n read with it,
-    so only a new row's end is searched for.  The rows share the decoded
-    fields and the decoded document is never held.  Of each row only n is
-    read on its own, and its digits must be those ``repr`` writes."""
+    Each row's text is cut with ``str.find`` at its n, the comma after it
+    and the row's closing brace.  The text before n and the text after it
+    are decoded once for each distinct pair, and the rows share the decoded
+    fields; the pairs are held until the reader returns.  Of each row only
+    n is read on its own, and its digits must be those ``repr`` writes."""
     if not text.startswith(_HEAD):
         raise ValueError(f"not a {_FORMAT} document as render_json writes it: {text[:len(_HEAD)]!r}")
     if text == _HEAD + _EMPTY_TAIL:
@@ -429,28 +425,23 @@ def parse_json(text: str) -> list[CensusRow]:
     make = CensusRow._make
     pos = len(_HEAD) - 1  # each row's text starts one character early: at "[" or ","
     while True:
-        seam = text.find(_N, pos + _ROW_START)
+        seam = text.find(_N, pos)
         stop = text.find(",", seam)
-        if seam < 0 or stop < 0:
+        end = text.find(_ROW_END, stop)
+        if seam < 0 or stop < 0 or end < 0:
             raise ValueError("census document ends inside a row")
         seam += len(_N)
-        before = text[pos:seam]
-        for after, rest in rests.get(before, ()):
-            if text.startswith(after, stop):
-                break
-        else:
-            end = text.find(_ROW_END, stop)
-            if end < 0:
-                raise ValueError("census document ends inside a row")
-            after = text[stop : end + len(_ROW_END)]
-            rest = _json_rest(before, after)
-            rests.setdefault(before, []).append((after, rest))
+        end += len(_ROW_END)
+        halves = text[pos:seam], text[stop:end]
+        rest = rests.get(halves)
+        if rest is None:
+            rest = rests[halves] = _json_rest(*halves)
         digits = text[seam:stop]
         n = int(digits)
         if repr(n) != digits:
             raise ValueError(f"census row's n is not written as render_json writes it: {digits!r}")
         rows.append(make((n, *rest)))
-        pos = stop + len(after)
+        pos = end
         if not text.startswith(",", pos):
             break
     if text[pos:] != _TAIL:
