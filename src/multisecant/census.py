@@ -33,11 +33,11 @@ those ``repr`` writes.  A reformatted document, or one with a duplicated
 key, raises ``ValueError``.  The decoded document is never held, but the
 text of each distinct row is, until the reader returns.  This pays where
 rows repeat, as they do across n; where none do (a sweep of one n), the
-JSON reader takes about 2.4x the time of one decode of the whole
+JSON reader takes about 2.5x the time of one decode of the whole
 document and peaks at about three times its memory, and the CSV writer
 takes about 1.25x the time of one ``writerows``.  The CSV reader converts
-every row: a cache of its rows minus n saved little on the benchmark
-grid and cost 1.4x where no row repeats.
+every row: a cache of its rows minus n saved a fifth of its time on the
+benchmark grid and cost 1.5x where no row repeats.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
