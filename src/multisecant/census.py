@@ -54,13 +54,14 @@ import io
 import itertools
 import json
 import math
+import re
 import types
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 from .bundles import complete_intersection_bundle
-from .errors import HypothesisError
+from .errors import HypothesisError, MultisecantError
 from .normality import check_jnormal_bundle, check_linear_normality_zak, jnormal_min_ambient_dim
 from .secants import multisecant_report
 
@@ -331,16 +332,29 @@ def render_json(rows: Iterable[CensusRow]) -> str:
 
 
 def parse_csv(text: str) -> list[CensusRow]:
+    """The rows of a CSV census.  Text the csv module cannot split, such as
+    a lone CR in an unquoted field, raises ``ValueError`` like any other
+    malformed row."""
     reader = csv.reader(io.StringIO(text))
-    header = tuple(next(reader, ()))
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected census header: {header!r}")
     make = CensusRow._make
-    return [
-        make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
-              degree, chern, twisted, secant, jnormal, zak, warn, cons))
-        for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
-    ]
+    try:
+        header = tuple(next(reader, ()))
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected census header: {header!r}")
+        return [
+            make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
+                  degree, chern, twisted, secant, jnormal, zak, warn, cons))
+            for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
+        ]
+    except csv.Error as exc:
+        raise ValueError(f"census CSV cannot be read: {exc}") from exc
+
+
+# census.schema.json's "rational" pattern, for one value or for a list
+# joined by ";" (an item holding ";" is refused before this runs).
+_RATIONAL = "-?[0-9]+(?:/[0-9]+)?"
+_rationals = re.compile(f"{_RATIONAL}(?:;{_RATIONAL})*").fullmatch
+_OUTCOMES = frozenset(("holds", "fails", "inapplicable"))
 
 
 def _json_row(obj: dict):
@@ -349,10 +363,13 @@ def _json_row(obj: dict):
     sections have no ``"inputs"`` key and pass through unchanged.
 
     This is where a row is held to census.schema.json: every key present
-    and no other, n, r, j and each degree an int, the value and verdict
-    fields strings, the flags booleans and the citations the three the
-    writer writes.  A row that passes holds the types ``enumerate_rows``
-    gives, so ``_halves`` can render it again.  One that does not raises
+    and no other, n, r, j and each degree an int, r >= 1, j >= 0 and at
+    least one degree, the value fields and every chern and twisted item
+    rational strings (a ``re.fullmatch``, so no trailing newline), the
+    verdicts outcome words, the flags booleans and the citations the three
+    the writer writes.  n is decoded as 0 here; ``parse_json`` checks it.
+    A row that passes holds the types ``enumerate_rows`` gives, so
+    ``_halves`` can render it again.  One that does not raises
     ``ValueError``, or, for a missing key or a wrong container, the
     ``KeyError`` or ``TypeError`` that ``_json_rest`` turns into one.
     """
@@ -376,6 +393,12 @@ def _json_row(obj: dict):
         # an item holding ";" would be written back as two, an empty list as [""]
         or chern.count(";") != len(cherns) - 1
         or twisted.count(";") != len(twisteds) - 1
+        or r < 1
+        or j < 0
+        or not degrees
+        or not (_rationals(degree) and _rationals(secant) and _rationals(chern) and _rationals(twisted))
+        or jnormal not in _OUTCOMES
+        or zak not in _OUTCOMES
     ):
         raise ValueError("census row does not match the schema")
     return CensusRow(
@@ -440,6 +463,8 @@ def parse_json(text: str) -> list[CensusRow]:
         n = int(digits)
         if repr(n) != digits:
             raise ValueError(f"census row's n is not written as render_json writes it: {digits!r}")
+        if n < 1:
+            raise ValueError(f"census row's n must be >= 1, got {n}")
         rows.append(make((n, *rest)))
         pos = end
         if not text.startswith(",", pos):
@@ -451,11 +476,16 @@ def parse_json(text: str) -> list[CensusRow]:
 
 def verify_rows(rows: Iterable[CensusRow]) -> list[str]:
     """Recompute every row from its inputs; return mismatch descriptions
-    (empty list when the file reproduces exactly)."""
+    (empty list when the file reproduces exactly).  A row whose inputs
+    ``compute_row`` refuses is described with the reason, not raised."""
     problems = []
     sweep = _Sweep()
     for idx, row in enumerate(rows):
-        fresh = sweep.row(row.n, row.degrees, row.j)
+        try:
+            fresh = sweep.row(row.n, row.degrees, row.j)
+        except (ValueError, MultisecantError) as exc:
+            problems.append(f"row {idx}: inputs rejected: {exc}")
+            continue
         if fresh != row:
             problems.append(f"row {idx}: stored {row} != recomputed {fresh}")
     return problems

@@ -45,21 +45,29 @@ Stage t of the recursion multiplies by sum_i c_(r-i) H_t^(r-i) N^i with
 N = -sum_(j<t) Delta_(j,t).  That sum is evaluated by Horner's rule in N,
 so the accumulated class is multiplied by N and by c H_t^m and never by
 the expanded factor or a power of N.  Every class the recursion builds
-is homogeneous, so the stages carry it as a map from D-mask to
-coefficient plus one degree d: the term of mask S is L^(d-|S|) * D_S.
-Both N and c H_t^m have the form L^(p-1) * (a_L L + sum_i a_i D_i):
+is homogeneous, so the stages carry a class of degree d over D_1..D_t as
+a dense list of 2^t integers indexed by D-mask: the slot of S holds the
+coefficient of L^(d-|S|) * D_S, and 0 where there is no term.  Written
+in the generators,
 
-    c H_t^m = L^(m-1) * (c L + c D_t),
-    N       = (1-t) L + (1-t) D_t - sum_(j<t) D_j,
+    c H_t^m = c L^(m-1) * (L + D_t),
+    N       = (1-t) (L + D_t) - sum_(j<t) D_j,
 
-so the stages write down the integers a_L and a_i directly, and one
-kernel multiplies a class by such a form: the term of S keeps its mask
-with coefficient a_L - sum_(i in S) a_i (as D_i^2 = -L * D_i) and gains
-D_i with coefficient a_i for each i not in S.  The secant count
-needs only the top coefficient of the class times L^(n+k-(k+1)r); it
-runs the stages on that power of L from the start, so the L^n = 0
-truncation drops every term that can no longer reach the top monomial
-while the class is being built.
+and the relations become slot rules.  Split the class into P, the masks
+without D_t, and Q, those with it.  As (L + D_t) D_t = 0, multiplying by
+(L + D_t) sends P + Q D_t to P + P D_t.  As D_j D_S = -L D_S for j in S,
+multiplying by -sum_(j<t) D_j sends a half v to U(v), where
+U(v)[S] = |S| v[S] - sum_(j in S) v[S - j].  So a Horner step writes
+y * N + acc * c H_t^m as the halves (1-t) P + c acc + U(P) and
+(1-t) P + c acc + U(Q).  The sum over j in S runs one bit at a time,
+each bit adding the slots without it into the slots with it through
+list slices, so every update is a C-level ``map`` over a slice rather
+than one Python step per term.  L^n = 0 zeroes the slots with
+d - |S| >= n once per stage; L^n generates an ideal, so what the stage
+carries in those slots until then never reaches a live one.  The secant
+count needs only the top coefficient of the class times L^(n+k-(k+1)r);
+it runs the stages on that power of L from the start, so the truncation
+zeroes every slot that can no longer reach the top monomial.
 
 The closed form needs no product at all.  Each H_i^r = L^(r-1) * (D_i + L),
 and the k+1 factors carry distinct D_i, so no relation applies and the
@@ -75,7 +83,10 @@ chord count of the degree-4 space curve (see the test suite).
 
 from __future__ import annotations
 
-from math import factorial, prod
+from functools import cache
+from itertools import accumulate
+from math import comb, factorial, prod
+from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .bundles import ChernVector, top_chern_twisted
@@ -164,37 +175,76 @@ def integrate(x: FiberRingElement) -> int:
 # -- the secant-degree computation ---------------------------------------
 
 
-def _times_form(out: dict, x: dict, d: int, n: int, p: int, a_l: int, forms: list) -> None:
-    """out += x * L^(p-1) * (a_l L + sum_i a_i D_i) on mask-keyed
-    homogeneous classes in the ring over P^n.
-
-    ``x`` maps D-masks S to the coefficients of a class of degree d, so
-    the term of S is L^(d-|S|) * D_S; ``forms`` lists the pairs
-    (bit of D_i, a_i).  ``out`` holds degree d + p.  The term of S keeps
-    its mask with coefficient a_l - sum_(i in S) a_i, because
-    D_i^2 = -L * D_i, and gains D_i with coefficient a_i for each i not
-    in S.  A term whose L-exponent reaches n is dropped.
+@cache
+def _layout(size: int) -> tuple[list[int], tuple[tuple[slice, slice], ...]]:
+    """The popcount of each mask below ``size`` (a power of 2), and for
+    each bit the pairs (masks with the bit, the same masks without it) as
+    slices of a list indexed by mask.  A bit is cut into strided slices
+    while it is low and into contiguous blocks once it is high, whichever
+    gives fewer, so no bit takes more than about sqrt(size / 2) slices.
     """
-    # A term of S lands at L^(d+p-|S|) if it keeps S and at one L fewer
-    # if it gains a D_i: both are dropped when |S| < cut, the kept one
-    # also when |S| == cut.  As |S| <= d, p >= n drops every kept term
-    # and p > n every term, so the form needs no truncating where
-    # L^(p-1) or L^p vanishes, nor a_l when n = 1 (L = 0).
-    cut = d + p - n
-    get = out.get
-    for s, c in x.items():
-        size = s.bit_count()
-        if size < cut or not c:
-            continue
-        keep = a_l
-        for bit, a in forms:
-            if s & bit:
-                keep -= a
-            else:
-                m = s | bit
-                out[m] = get(m, 0) + c * a
-        if keep and size > cut:
-            out[s] = get(s, 0) + c * keep
+    pairs = []
+    bit = 1
+    while bit < size:
+        step = bit << 1
+        if bit * bit <= size >> 1:
+            pairs += [(slice(bit + i, size, step), slice(i, size, step)) for i in range(bit)]
+        else:
+            pairs += [(slice(b + bit, b + step), slice(b, b + bit)) for b in range(0, size, step)]
+        bit = step
+    return [s.bit_count() for s in range(size)], tuple(pairs)
+
+
+@cache
+def _by_popcount(size: int) -> tuple[list[int], list[int]]:
+    """The masks below ``size`` ordered by popcount, and for each count c
+    the number of masks whose popcount is at most c."""
+    order = sorted(range(size), key=int.bit_count)
+    ends = list(accumulate(comb(size.bit_length() - 1, c) for c in range(size.bit_length())))
+    return order, ends
+
+
+def _truncate(y: list[int], d: int, n: int) -> list[int]:
+    """Apply L^n = 0 in place to the class y of degree d: zero each slot
+    S with d - |S| >= n, i.e. |S| <= d - n."""
+    cut = d - n
+    if cut >= 0:
+        order, ends = _by_popcount(len(y))
+        for s in order[: ends[min(cut, len(ends) - 1)]]:
+            y[s] = 0
+    return y
+
+
+def _plus_u(base: list[int], v: list[int], counts: list[int], pairs) -> list[int]:
+    """base + U(v), U(v)[S] = |S| v[S] - sum_(j in S) v[S - j]: the
+    product of the class v by -sum_j D_j over every D_j its masks can
+    hold, as D_j D_S = -L D_S for j in S.  ``counts`` and ``pairs`` are
+    v's ``_layout``; each bit's updates run over its slices."""
+    w = list(map(add, base, map(mul, counts, v)))
+    for with_bit, without in pairs:
+        w[with_bit] = map(sub, w[with_bit], v[without])
+    return w
+
+
+def _step(p: list[int], q: list[int], acc: list[int], a: int, c: int):
+    """One Horner step of stage t: the halves of y * N_t + c * acc * H_t^m.
+
+    y = P + Q D_t is a class of degree d over D_1..D_t, given as its
+    halves P (masks without D_t) and Q (the masks with D_t, less D_t);
+    acc is a class of degree d + 1 - m over D_1..D_(t-1), so both
+    products have degree d + 1.  With a = 1 - t,
+
+        N_t = a H_t - sum_(j<t) D_j,   H_t = L + D_t,
+
+    and (L + D_t) D_t = 0 make y * a H_t = a P H_t, which is a P in each
+    half, while -sum_(j<t) D_j acts on each half alone, as U.  The factor
+    H_t^m = L^(m-1) H_t adds c * acc to each half.  A zero Q half, as at
+    the first step of a stage, has U(Q) = 0 and is not run through the
+    slices.  Nothing is truncated.
+    """
+    counts, pairs = _layout(len(p))
+    base = [a * x + c * y for x, y in zip(p, acc)]
+    return _plus_u(base, p, counts, pairs), _plus_u(base, q, counts, pairs) if any(q) else base
 
 
 def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
@@ -202,33 +252,26 @@ def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
     run on L^excess.
 
     The running class is homogeneous of degree d, so it is carried as a
-    map from D-mask S to the coefficient of L^(d-|S|) * D_S.  Each factor
-    is passed to ``_times_form`` as its integers: c H_t^m as a_L = c and
-    [(D_t, c)], N as a_L = 1-t and [(D_j, -1) for j < t] + [(D_t, 1-t)].
-    The class becomes a ``FiberRingElement`` once, at the end.  Horner's
-    rule in N: y = c_0 acc, then for i = r-1 down to 0,
-    y = y * N + acc * c_(r-i) H_t^(r-i), the second product accumulated
-    into y in place.
+    list of 2^t slots indexed by D-mask: the slot of S holds the
+    coefficient of L^(d-|S|) * D_S, and 0 where there is no term.  Stage
+    t splits the class into its halves without and with D_t; the base
+    class c_r H_1^r L^excess is c_r L^d + c_r L^(d-1) D_1.  Horner's rule
+    in N: y = c_0 acc, then for i = r-1 down to 0,
+    y = y * N + acc * c_(r-i) H_t^(r-i), each a ``_step``.  L^n = 0 is
+    applied once per stage: it generates an ideal, so a slot it would
+    have zeroed earlier only carries a dead term to the stage's end.
+    The class becomes a ``FiberRingElement`` once, at the end.
     """
     r, cs, n = e.codim, e.c, e.ambient_dim
-    start = {0: 1} if excess < n else {}  # L^excess
-    acc: dict[int, int] = {}
-    _times_form(acc, start, excess, n, r, cs[r], [(1, cs[r])])
     d = excess + r
+    acc = _truncate([cs[r], cs[r]], d, n)
     for t in range(2, k + 2):
-        bit = 1 << (t - 1)
-        neg_delta_sum = [(1 << j, -1) for j in range(t - 1)] + [(bit, 1 - t)]
-        y = acc  # c_0 = 1; the first product below leaves acc as it is
+        p, q = acc, [0] * len(acc)  # c_0 = 1
         for i in range(r - 1, -1, -1):
-            y_times_n: dict[int, int] = {}
-            _times_form(y_times_n, y, d + r - i - 1, n, 1, 1 - t, neg_delta_sum)
-            y = y_times_n
-            c = cs[r - i]
-            if c != 0:
-                _times_form(y, acc, d, n, r - i, c, [(bit, c)])
-        acc = y
+            p, q = _step(p, q, acc, 1 - t, cs[r - i])
         d += r
-    return FiberRingElement(n, k + 1, {(d - s.bit_count(), s): c for s, c in acc.items() if c})
+        acc = _truncate(p + q, d, n)
+    return FiberRingElement(n, k + 1, {(d - s.bit_count(), s): c for s, c in enumerate(acc) if c})
 
 
 def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -243,7 +286,7 @@ def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     with each c_i(E) pulled back through factor t as the scalar c_i times
     H_t^i.  The sum is evaluated by Horner's rule in N, so each stage costs
     r products with the degree-1 class N and at most r with c_i H_t^i,
-    never a product with the expanded factor; ``_times_form`` does each.
+    never a product with the expanded factor; ``_step`` does each pair.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -278,10 +321,11 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     The stages start from the class L^excess (degree excess, the empty
     D-mask) instead of multiplying by L^excess at the end.  The ring is
     commutative and L^n = 0, so the product is the same, but every
-    intermediate term already carries L^excess and the kernel drops each
-    term whose L-exponent d - |S| reaches n: those can never reach the
-    top monomial.  The late stages shrink to a few terms instead of
-    2^(k+1) monomials.
+    intermediate term already carries L^excess, and each stage's
+    truncation zeroes the slots whose L-exponent d - |S| reaches n: those
+    can never reach the top monomial.  The class still holds 2^(k+1)
+    slots, most of them 0 in the late stages, and every step runs over
+    all of them.
 
     The class is integral; the 1/(k+1)! is the one division, and the only
     use of ``fractions`` in this module.

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from importlib import resources
 
@@ -219,46 +220,8 @@ def _rows_of(ints, degrees):
     )
 
 
-# rows whose fields have the types census.schema.json gives them
-_census_rows = _rows_of(_ints, st.lists(_ints, max_size=4))
-# and rows whose inputs a document may hold in their place: bools, floats,
-# null and nested arrays
-_scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
-_wide_rows = _rows_of(_scalars, st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4))
-
-
-def _schema_typed(row):
-    return all(type(value) is int for value in (row.n, row.r, row.j, *row.degrees))
-
-
-@given(st.lists(_census_rows, max_size=4))
-def test_json_writer_matches_json_dumps(rows):
-    text = render_json(rows)
-    assert text == _reference_json(rows)
-    assert parse_json(text) == rows
-
-
-@given(st.lists(_wide_rows, max_size=3))
-def test_json_reader_takes_exactly_the_rows_of_schema_type(rows):
-    text = _reference_json(rows)
-    if all(map(_schema_typed, rows)):
-        assert parse_json(text) == rows
-    else:
-        with pytest.raises(ValueError):
-            parse_json(text)
-
-
-def _reference_csv(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(row[:2] + (";".join(map(str, row.degrees)),) + row[3:])
-    return buf.getvalue()
-
-
-# rows that census.schema.json admits: at least one degree, rational strings
-# and outcome words
+# rows with census.schema.json's value fields: at least one degree, rational
+# strings and outcome words (their ints may be below the schema's minimums)
 _rationals = st.one_of(_ints.map(str), st.builds("{}/{}".format, _ints, st.integers(1, 10**30)))
 _outcomes = st.sampled_from(["holds", "fails", "inapplicable"])
 _schema_rows = st.builds(
@@ -276,6 +239,80 @@ _schema_rows = st.builds(
     integrality_warning=st.sampled_from(["true", "false"]),
     d_consistent=st.sampled_from(["true", "false"]),
 )
+# and rows the JSON reader takes back, whose n and r are at least 1 and j at least 0
+_valid_rows = _schema_rows.map(lambda row: row._replace(n=abs(row.n) + 1, r=abs(row.r) + 1, j=abs(row.j)))
+
+
+# rows whose fields have the types census.schema.json gives them
+_census_rows = _rows_of(_ints, st.lists(_ints, max_size=4))
+# and rows whose inputs a document may hold in their place: bools, floats,
+# null and nested arrays
+_scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
+_wide_degrees = st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4)
+
+
+def _schema_typed(row):
+    return all(type(value) is int for value in (row.n, row.r, row.j, *row.degrees))
+
+
+_SCHEMA = json.loads(resources.files("multisecant").joinpath("schemas/census.schema.json").read_text())
+_INPUTS = _SCHEMA["properties"]["rows"]["items"]["properties"]["inputs"]["properties"]
+# JSON Schema's "$" ends the text, as re.fullmatch does; Python's "$" would
+# also match before a trailing newline
+_RATIONAL = _SCHEMA["$defs"]["rational"]["pattern"].removeprefix("^").removesuffix("$")
+_OUTCOME_WORDS = _SCHEMA["$defs"]["outcome"]["enum"]
+
+
+def _schema_valid(row):
+    """Whether a row holds census.schema.json's types and values."""
+    return (
+        _schema_typed(row)
+        and all(row[i] >= _INPUTS[name]["minimum"] for i, name in ((0, "n"), (1, "r"), (3, "j")))
+        and len(row.degrees) >= _INPUTS["degrees"]["minItems"]
+        and all(
+            re.fullmatch(_RATIONAL, text)
+            for text in (row.degree, row.secant_degree,
+                         *row.chern.split(";"), *row.twisted_top_cherns.split(";"))
+        )
+        and row.jnormal in _OUTCOME_WORDS
+        and row.zak in _OUTCOME_WORDS
+    )
+
+
+@given(st.lists(st.one_of(_census_rows, _valid_rows), max_size=4))
+def test_json_writer_matches_json_dumps(rows):
+    text = render_json(rows)
+    assert text == _reference_json(rows)
+    if all(map(_schema_valid, rows)):
+        assert parse_json(text) == rows
+    else:
+        with pytest.raises(ValueError):
+            parse_json(text)
+
+
+_wide_rows = st.builds(
+    lambda row, n, r, j, degrees: row._replace(n=n, r=r, j=j, degrees=tuple(degrees)),
+    _valid_rows, _scalars, _scalars, _scalars, _wide_degrees,
+)
+
+
+@given(st.lists(st.one_of(_valid_rows, _wide_rows), max_size=3))
+def test_json_reader_takes_exactly_the_rows_of_schema_type(rows):
+    text = _reference_json(rows)
+    if all(map(_schema_valid, rows)):
+        assert parse_json(text) == rows
+    else:
+        with pytest.raises(ValueError):
+            parse_json(text)
+
+
+def _reference_csv(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(row[:2] + (";".join(map(str, row.degrees)),) + row[3:])
+    return buf.getvalue()
 
 
 @given(st.lists(_census_rows, max_size=4), st.lists(_schema_rows, max_size=4))
@@ -496,6 +533,26 @@ _EDITED = {
     "a-second-document": lambda: _rows_text() * 2,
     "no-rows-and-bytes-after": lambda: render_json([]) + " ",
     "nested-past-the-recursion-limit": lambda: "[" * 100_000,
+    # census.schema.json's minimum, minItems, pattern and enum, in the writer's layout
+    "n-zero": lambda: _one_row_text().replace('"n": 5,', '"n": 0,'),
+    "n-negative": lambda: _one_row_text().replace('"n": 5,', '"n": -5,'),
+    "r-zero": lambda: _one_row_text().replace('"r": 2\n', '"r": 0\n'),
+    "j-negative": lambda: _one_row_text().replace('"j": 1,', '"j": -1,'),
+    "degrees-empty": lambda: _one_row_text().replace(
+        '"degrees": [\n          2,\n          3\n        ],', '"degrees": [],'),
+    "degree-not-rational": lambda: _one_row_text().replace('"degree": "6",', '"degree": "x",'),
+    "degree-with-a-trailing-newline": lambda: _one_row_text().replace(
+        '"degree": "6",', '"degree": "6\\n",'),
+    "degree-with-a-lone-cr": lambda: _one_row_text().replace('"degree": "6",', '"degree": "6\\r",'),
+    "secant-degree-with-an-empty-denominator": lambda: _one_row_text().replace(
+        '"secant_degree": "6",', '"secant_degree": "6/",'),
+    "chern-item-with-a-plus": lambda: _one_row_text().replace(
+        '"1",\n          "5"', '"1",\n          "+5"'),
+    "twisted-item-a-non-ascii-digit": lambda: _one_row_text().replace(
+        '"6",\n          "2"\n', '"6",\n          "\\uff12"\n'),
+    "jnormal-not-an-outcome": lambda: _one_row_text().replace(
+        '"jnormal": "fails"', '"jnormal": "maybefails"'),
+    "zak-not-an-outcome": lambda: _one_row_text().replace('"zak": "inapplicable"', '"zak": "holds "'),
 }
 
 
@@ -505,6 +562,20 @@ def test_text_the_writer_does_not_write_raises(edit):
     assert text != _one_row_text() and text != _rows_text()
     with pytest.raises(ValueError):
         parse_json(text)
+
+
+def test_csv_with_a_lone_cr_raises_value_error():
+    # render_csv leaves a lone CR unquoted; the csv module cannot split it back
+    row = compute_row(5, (2, 3), 1)._replace(degree="6\r")
+    with pytest.raises(ValueError, match="census CSV cannot be read"):
+        parse_csv(render_csv([row]))
+
+
+def test_verify_rows_reports_a_csv_row_with_n_zero():
+    text = render_csv([compute_row(5, (2, 3), 1)]).replace("\n5,", "\n0,")
+    (row,) = parse_csv(text)
+    assert row.n == 0
+    assert verify_rows([row]) == ["row 0: inputs rejected: ambient dimension must be >= 1"]
 
 
 @pytest.fixture(scope="module")
@@ -625,9 +696,8 @@ def test_rows_outside_the_range_raise_as_compute_row_does(n, degrees, j):
     # a valid row with the same degree tuple fills the cache first
     good = compute_row(len(degrees) + 2, degrees, max(j, 1))
     bad = good._replace(n=n, j=j)
-    with pytest.raises(fresh.type) as swept:
-        verify_rows([good, bad])
-    assert str(swept.value) == str(fresh.value)
+    # verify_rows reports the refusal as the row's problem instead of raising it
+    assert verify_rows([good, bad]) == [f"row 1: inputs rejected: {fresh.value}"]
     sweep = _Sweep()
     with pytest.raises(fresh.type):
         sweep.row(n, degrees, j)

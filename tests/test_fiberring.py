@@ -1,6 +1,7 @@
 """The blow-up fiber-power ring: relations, recursion oracle, integration."""
 
 import ast
+import collections
 import itertools
 import math
 import random
@@ -477,22 +478,24 @@ class TestPrunedCount:
 
 
 class TestFormKernel:
-    """``_times_form``, the recursion's only arithmetic, against ``__mul__``.
+    """``_step``, the recursion's only arithmetic, against ``__mul__``.
 
-    Classes are random and homogeneous, given as {D-mask: coefficient} with
-    a degree; each is multiplied by N_t = -sum_(j<t) Delta_(j,t) and by
-    c H_t^m for m = 1..n+1.  Elements are rebuilt from the generators, so
-    the comparison does not rely on the kernel's mask encoding.  The
-    kernel's integers are read off the same factor built in a ring over a
-    larger P^n, where L^p does not vanish: those are the integers the
-    stages pass, also where the ring over P^n truncates the factor
-    (n = 1, where L = 0, and m >= n).
+    Classes are random and homogeneous, given as lists indexed by D-mask
+    with a degree.  At stage t a step takes y over D_1..D_t, as its halves
+    without and with D_t, and acc over D_1..D_(t-1), and returns
+    y * N_t + acc * c H_t^m with N_t = -sum_(j<t) Delta_(j,t), for
+    m = 1..n+1.  The step truncates nothing, so its result is compared
+    after ``_truncate``.  Elements are rebuilt from the generators and the
+    factors built from them, so the comparison does not rely on the
+    kernel's mask encoding.
     """
 
     @staticmethod
     def element(ring, x, d):
         out = ring.zero()
-        for s, c in x.items():
+        for s, c in enumerate(x):
+            if not c:
+                continue
             mono = ring.l_class() ** (d - s.bit_count())
             for i in range(ring.factors):
                 if s >> i & 1:
@@ -501,72 +504,90 @@ class TestFormKernel:
         return out
 
     @staticmethod
-    def homogeneous(ring, rng, d):
-        """Coefficients in -9..9, zeros included, on every mask S with
-        0 <= d - |S| < n that the draw keeps."""
-        n, f = ring.ambient_dim, ring.factors
-        return {
-            s: rng.choice([0, rng.randint(-9, 9)])
-            for s in range(1 << f)
+    def homogeneous(rng, n, f, d):
+        """Coefficients in -9..9, zeros included, on every mask S below
+        2^f with 0 <= d - |S| < n that the draw keeps; 0 elsewhere."""
+        return [
+            rng.choice([0, rng.randint(-9, 9)])
             if 0 <= d - s.bit_count() < n and rng.random() < 0.7
-        }
-
-    @staticmethod
-    def form(y, p):
-        """(a_L, [(bit of D_i, a_i)]) of y = L^(p-1) * (a_L L + sum_i a_i D_i)."""
-        a_l = coefficient(y, p, ())
-        forms = [(1 << i, coefficient(y, p - 1, (i + 1,))) for i in range(y.factors)]
-        forms = [(bit, a) for bit, a in forms if a]
-        assert len(y.terms) == bool(a_l) + len(forms)  # y has no other term
-        return a_l, forms
-
-    def check(self, ring, x, d, build, p, seen):
-        y = build(ring)
-        a_l, forms = self.form(build(OracleRing(ring.ambient_dim + p + 1, ring.factors)), p)
-        expected = self.element(ring, x, d) * y
-        n = ring.ambient_dim
-        out = {}
-        fiberring._times_form(out, x, d, n, p, a_l, forms)
-        assert self.element(ring, out, d + p) == expected
-        # the rebuilt element would hide an L^n term, as L^n = 0 there
-        assert all(0 <= d + p - s.bit_count() < n for s in out)
-        # accumulating into a class of degree d + p adds the product to it
-        z0 = {s: 1 for s in range(1 << ring.factors) if 0 <= d + p - s.bit_count() < n}
-        z = dict(z0)
-        fiberring._times_form(z, x, d, n, p, a_l, forms)
-        assert self.element(ring, z, d + p) == self.element(ring, z0, d + p) + expected
-        seen["empty factor"] += not y.terms
-        seen["top L-exponent"] += any(c and d - s.bit_count() == n - 1 for s, c in x.items())
+            else 0
+            for s in range(1 << f)
+        ]
 
     def test_matches_general_product(self):
         rng = random.Random(11)
         seen = dict.fromkeys(
-            ["mask contains t", "top L-exponent", "empty factor", "c = 0", "n = 1, t > 1"], 0
+            ["mask contains t", "zero half", "top L-exponent", "empty factor", "c = 0",
+             "n = 1, t > 1", "truncated"],
+            0,
         )
         for _ in range(120):
-            n, f = rng.randint(1, 8), rng.randint(1, 6)
-            ring = OracleRing(n, f)
-            d = rng.randint(0, n + f - 1)
-            x = self.homogeneous(ring, rng, d)
-            t = rng.randint(1, f)
-            seen["mask contains t"] += any(c and s >> (t - 1) & 1 for s, c in x.items())
-            if t > 1:
-                seen["n = 1, t > 1"] += n == 1
-
-                def neg_delta_sum(ring):
-                    out = ring.zero()
-                    for j in range(1, t):
-                        out = out - ring.diagonal_class(j, t)
-                    return out
-
-                self.check(ring, x, d, neg_delta_sum, 1, seen)
+            n, t = rng.randint(1, 8), rng.randint(1, 6)
+            ring = OracleRing(n, t)
+            half = 1 << (t - 1)
+            n_t = ring.zero()
+            for j in range(1, t):
+                n_t = n_t - ring.diagonal_class(j, t)
+            seen["n = 1, t > 1"] += n == 1 and t > 1
             for m in range(1, n + 2):
+                d = rng.randint(0, n + t - 2)  # the degree of acc
+                acc = self.homogeneous(rng, n, t - 1, d)
+                y = self.homogeneous(rng, n, t, d + m - 1)
+                if rng.random() < 0.25:
+                    y[half:] = [0] * half
                 c = rng.choice([0, rng.randint(-9, 9)])
-                seen["c = 0"] += c == 0
-                self.check(
-                    ring, x, d, lambda ring: ring.scalar(c) * ring.hyperplane_power(t, m), m, seen
+                p, q = fiberring._step(y[:half], y[half:], acc, 1 - t, c)
+                assert len(p) == len(q) == half
+                out = p + q
+                product = fiberring._truncate(list(out), d + m, n)
+                factor = ring.scalar(c) * ring.hyperplane_class(t) ** m
+                expected = self.element(ring, y, d + m - 1) * n_t + self.element(ring, acc, d) * factor
+                assert self.element(ring, product, d + m) == expected
+                # the rebuilt element would hide an L^n term, as L^n = 0 there
+                assert all(not v or 0 <= d + m - s.bit_count() < n for s, v in enumerate(product))
+                seen["mask contains t"] += any(y[half:])
+                seen["zero half"] += not any(y[half:])
+                seen["top L-exponent"] += any(
+                    v and deg - s.bit_count() == n - 1
+                    for x, deg in ((y, d + m - 1), (acc, d))
+                    for s, v in enumerate(x)
                 )
+                seen["empty factor"] += not factor.terms
+                seen["c = 0"] += c == 0
+                seen["truncated"] += product != out
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("size", [1 << b for b in range(13)])
+    def test_layout_covers_each_pair_once(self, size):
+        counts, pairs = fiberring._layout(size)
+        assert counts == [s.bit_count() for s in range(size)]
+        masks = list(range(size))
+        per_bit = collections.Counter()
+        covered = collections.Counter()
+        for with_bit, without in pairs:
+            high, low = masks[with_bit], masks[without]
+            assert len(high) == len(low) > 0
+            bits = {h ^ lo for h, lo in zip(high, low)}
+            assert len(bits) == 1  # one slice pair serves one bit
+            (bit,) = bits
+            per_bit[bit] += 1
+            covered.update((h, lo, bit) for h, lo in zip(high, low) if h & bit)
+        expected = {
+            (s | 1 << b, s, 1 << b) for b in range(size.bit_length() - 1) for s in masks if not s >> b & 1
+        }
+        assert set(covered) == expected
+        assert set(covered.values()) <= {1}
+        assert all(count <= math.isqrt(size // 2) for count in per_bit.values())
+
+    def test_oracle_workload_shape(self):
+        # the smallest ring of the benchmark's oracle cases: 2^9 monomials
+        n, k = 30, 8
+        cv = ChernVector.make(n, [1, -7, 5])
+        assert all(top_chern_twisted(cv, -i) for i in range(k + 1))
+        rec = recursion_top_chern(cv, k)
+        assert rec == closed_form_top_chern(cv, k)
+        assert len(rec.terms) == 512
+        assert secant_count_via_ring(cv, k) == multisecant_report(cv, k).value
 
 
 class TestOracleIndependence:
