@@ -84,8 +84,7 @@ chord count of the degree-4 space curve (see the test suite).
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
@@ -195,24 +194,11 @@ def _layout(size: int) -> tuple[list[int], tuple[tuple[slice, slice], ...]]:
     return [s.bit_count() for s in range(size)], tuple(pairs)
 
 
-@cache
-def _by_popcount(size: int) -> tuple[list[int], list[int]]:
-    """The masks below ``size`` ordered by popcount, and for each count c
-    the number of masks whose popcount is at most c."""
-    order = sorted(range(size), key=int.bit_count)
-    ends = list(accumulate(comb(size.bit_length() - 1, c) for c in range(size.bit_length())))
-    return order, ends
-
-
 def _truncate(y: list[int], d: int, n: int) -> list[int]:
-    """Apply L^n = 0 in place to the class y of degree d: zero each slot
-    S with d - |S| >= n, i.e. |S| <= d - n."""
+    """The class y of degree d with L^n = 0 applied: each slot S with
+    d - |S| >= n, i.e. |S| <= d - n, zeroed."""
     cut = d - n
-    if cut >= 0:
-        order, ends = _by_popcount(len(y))
-        for s in order[: ends[min(cut, len(ends) - 1)]]:
-            y[s] = 0
-    return y
+    return y if cut < 0 else [x if m > cut else 0 for m, x in zip(_layout(len(y))[0], y)]
 
 
 def _plus_u(base: list[int], v: list[int], counts: list[int], pairs) -> list[int]:
