@@ -21,7 +21,10 @@ types census.schema.json gives its fields: n, r, j and each degree an
 ``int`` (never a ``bool`` or ``float``), every other field a ``str``.
 ``enumerate_rows`` and ``parse_csv`` build rows that way, and the JSON
 reader refuses a row any other way with ``ValueError``, so the writers and
-``verify_rows`` take the types as given.
+``verify_rows`` take the types as given.  The JSON reader also holds a
+row to the schema's values (n and r at least 1, j at least 0, a degree,
+rational strings, outcome words); the CSV reader does not, and
+``verify_rows`` reports a row whose inputs a sweep refuses as a problem.
 
 Per-row work is only n: n is the field a sweep varies fastest, and rows
 that differ only in n share everything else.  Both writers format each
