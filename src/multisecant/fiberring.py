@@ -64,28 +64,40 @@ each bit adding the slots without it into the slots with it through
 list slices, so every update is a C-level ``map`` over a slice rather
 than one Python step per term.  L^n = 0 zeroes the slots with
 d - |S| >= n once per stage; L^n generates an ideal, so what the stage
-carries in those slots until then never reaches a live one.  The secant
-count needs only the top coefficient of the class times L^(n+k-(k+1)r);
-it runs the stages on that power of L from the start, so the truncation
-zeroes every slot that can no longer reach the top monomial.
+carries in those slots until then never reaches a live one.
+
+The secant count needs only the top coefficient of the class times
+L^(n+k-(k+1)r).  It runs the stages on that power of L from the start,
+on a second layout: one list per popcount level s, holding the slots of
+the masks of popcount s in ascending order, from the floor d - n + 1
+up.  Below the floor L^(d-s) = 0, and a slot's L-exponent never falls,
+so a dead slot feeds only dead slots and each step drops its dead levels
+at once; late in the count only a few levels are live.  Level s over t
+bits is level s over t - 1 bits followed by level s - 1 over t - 1 bits
+with D_t added, so the halves join level by level, and U maps level
+s - 1 into level s through one index table per set bit, each gathered
+at C level.
 
 The closed form needs no product at all.  Each H_i^r = L^(r-1) * (D_i + L),
 and the k+1 factors carry distinct D_i, so no relation applies and the
 product is scalar * sum_S L^((k+1)r-|S|) * D_S over the subsets S of the
 factors, less the terms whose L-exponent reaches n.  ``__mul__`` and
 ``__add__`` stay the general arithmetic that the tests' ``OracleRing``
-builds its elements with.
+builds its elements with; negation, powers and integration are the
+tests' own (tests/oracles.py).
 
 Integration sends the unique top monomial L^(n-1) * D_1...D_f to 1 and
-every other monomial to 0; the normalization is pinned by the classical
-chord count of the degree-4 space curve (see the test suite).
+every other monomial to 0, so the count's integral is the coefficient of
+that monomial; the normalization is pinned by the classical chord count
+of the degree-4 space curve (see the test suite).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, prod
-from operator import add, mul, sub
+from itertools import repeat
+from math import comb, factorial, prod
+from operator import add, itemgetter, mul, sub
 from typing import TYPE_CHECKING
 
 from .bundles import ChernVector, top_chern_twisted
@@ -125,14 +137,6 @@ class FiberRingElement(Record):
                 out[mono] = acc
         return FiberRingElement(self.ambient_dim, self.factors, out)
 
-    def __neg__(self) -> "FiberRingElement":
-        return FiberRingElement(
-            self.ambient_dim, self.factors, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "FiberRingElement") -> "FiberRingElement":
-        return self + (-other)
-
     def __mul__(self, other: "FiberRingElement") -> "FiberRingElement":
         self._check_compat(other)
         n = self.ambient_dim
@@ -151,24 +155,6 @@ class FiberRingElement(Record):
                 else:
                     out[key] = acc
         return FiberRingElement(n, self.factors, out)
-
-    def __pow__(self, exponent: int) -> "FiberRingElement":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = FiberRingElement(self.ambient_dim, self.factors, {(0, 0): 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-
-def integrate(x: FiberRingElement) -> int:
-    """Pairing with the fundamental class.
-
-    Reads off the coefficient of the unique top monomial
-    L^(n-1) * D_1...D_f; every other normal-form monomial integrates to 0.
-    """
-    n, f = x.ambient_dim, x.factors
-    return x.terms.get((n - 1, (1 << f) - 1), 0)
 
 
 # -- the secant-degree computation ---------------------------------------
@@ -233,23 +219,26 @@ def _step(p: list[int], q: list[int], acc: list[int], a: int, c: int):
     return _plus_u(base, p, counts, pairs), _plus_u(base, q, counts, pairs) if any(q) else base
 
 
-def _stages(e: ChernVector, k: int, excess: int) -> FiberRingElement:
-    """L^excess * c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``
-    run on L^excess.
+def _stages(e: ChernVector, k: int) -> FiberRingElement:
+    """c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``.
 
     The running class is homogeneous of degree d, so it is carried as a
     list of 2^t slots indexed by D-mask: the slot of S holds the
     coefficient of L^(d-|S|) * D_S, and 0 where there is no term.  Stage
     t splits the class into its halves without and with D_t; the base
-    class c_r H_1^r L^excess is c_r L^d + c_r L^(d-1) D_1.  Horner's rule
+    class c_r H_1^r is c_r L^r + c_r L^(r-1) D_1.  Horner's rule
     in N: y = c_0 acc, then for i = r-1 down to 0,
     y = y * N + acc * c_(r-i) H_t^(r-i), each a ``_step``.  L^n = 0 is
     applied once per stage: it generates an ideal, so a slot it would
     have zeroed earlier only carries a dead term to the stage's end.
     The class becomes a ``FiberRingElement`` once, at the end.
+
+    The recursion keeps this dense cube rather than ``_live_stages``'s
+    levels: at its degrees nearly every slot is live, and on the verify
+    suite's many small rings the per-bit slices beat the per-level loops.
     """
     r, cs, n = e.codim, e.c, e.ambient_dim
-    d = excess + r
+    d = r
     acc = _truncate([cs[r], cs[r]], d, n)
     for t in range(2, k + 2):
         p, q = acc, [0] * len(acc)  # c_0 = 1
@@ -276,7 +265,7 @@ def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _stages(e, k, 0)
+    return _stages(e, k)
 
 
 def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -296,6 +285,92 @@ def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     return FiberRingElement(n, k + 1, terms)
 
 
+@cache
+def _ranks(bits: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """For each mask of popcount s below 2^bits, in ascending order, the
+    rank in level s - 1 of the mask less its k-th set bit, for k = 0..s-1
+    from the lowest bit up.  Level s over ``bits`` bits is level s over
+    bits - 1 followed by level s - 1 over bits - 1 with the top bit added,
+    so the table is built from the two tables one bit down: a mask with
+    the top bit keeps it when a lower bit goes, and loses it to land on
+    its own rank one bit down."""
+    if s == 0:
+        return ((),)
+    if s > bits:
+        return ()
+    shift = comb(bits - 1, s - 1)  # the masks of level s - 1 without the top bit
+    return _ranks(bits - 1, s) + tuple(
+        tuple(shift + x for x in lower) + (i,) for i, lower in enumerate(_ranks(bits - 1, s - 1))
+    )
+
+
+@cache
+def _gathers(bits: int, s: int) -> tuple[itemgetter, ...]:
+    """For k = 0..s-1, a getter that reads from level s - 1 over ``bits``
+    bits, for each mask of level s, the slot of the mask less its k-th set
+    bit.  A one-mask level reads through a slice, as ``itemgetter`` with
+    one index returns the item itself rather than a tuple."""
+    ranks = _ranks(bits, s)
+    if len(ranks) == 1:
+        return tuple(itemgetter(slice(i, i + 1)) for i in ranks[0])
+    return tuple(itemgetter(*column) for column in zip(*ranks))
+
+
+def _level_plus_u(base: list, v: list, floor: int) -> list:
+    """base + U(v) on the levels from ``floor`` up, None below it.
+
+    U(v)_s = s v_s - sum_k v_(s-1)[S less its k-th set bit] maps level
+    s - 1 into level s; each gather is one C-level ``itemgetter`` call.
+    """
+    out = [None] * len(v)
+    bits = len(v) - 1
+    for s in range(floor, bits + 1):
+        w = map(add, base[s], map(mul, repeat(s), v[s]))
+        for gather in _gathers(bits, s):
+            w = map(sub, w, gather(v[s - 1]))
+        out[s] = list(w)
+    return out
+
+
+def _level_step(p: list, q: list | None, acc: list, a: int, c: int, floor: int):
+    """``_step`` on live levels: the halves of y * N_t + c * acc * H_t^m,
+    each a list of levels over D_1..D_(t-1).  ``floor``, the result's
+    degree less n, is the lowest live level of the Q half, whose masks
+    carry D_t besides; the P half's is one more.  A Q half of None, as at
+    the first step of a stage, has U(Q) = 0."""
+    base = [None] * len(p)
+    for s in range(max(floor, 0), len(p)):
+        base[s] = [a * x + c * y for x, y in zip(p[s], acc[s])]
+    p = _level_plus_u(base, p, max(floor + 1, 0))
+    return p, base if q is None else _level_plus_u(base, q, max(floor, 0))
+
+
+def _live_stages(e: ChernVector, k: int, excess: int) -> list:
+    """L^excess * c_((k+1)r)(E^(k+1)) on its live popcount levels.
+
+    The class of degree d over t bits is a list of levels: level s holds
+    the slots of the masks of popcount s in ascending order, and is None
+    below the floor d - n + 1, where L^(d-s) = 0.  A slot's L-exponent
+    never falls, as D_j D_S = -L D_S for j in S, so a dead slot feeds
+    only dead slots and each step drops its dead levels at once.  At a
+    stage's end the halves join level by level: level s over t bits is
+    P's level s followed by Q's level s - 1.
+    """
+    r, cs, n = e.codim, e.c, e.ambient_dim
+    d = excess + r
+    acc = [[cs[r]] if s > d - n else None for s in range(2)]
+    for t in range(2, k + 2):
+        p, q = acc, None  # c_0 = 1
+        for i in range(r - 1, -1, -1):
+            d += 1
+            p, q = _level_step(p, q, acc, 1 - t, cs[r - i], d - n)
+        acc = [
+            (p[s] if s < t else []) + (q[s - 1] if s else []) if s > d - n else None
+            for s in range(t + 1)
+        ]
+    return acc
+
+
 def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     """Degree of the (k+1)-secant locus computed inside the fiber ring:
 
@@ -307,11 +382,12 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     The stages start from the class L^excess (degree excess, the empty
     D-mask) instead of multiplying by L^excess at the end.  The ring is
     commutative and L^n = 0, so the product is the same, but every
-    intermediate term already carries L^excess, and each stage's
-    truncation zeroes the slots whose L-exponent d - |S| reaches n: those
-    can never reach the top monomial.  The class still holds 2^(k+1)
-    slots, most of them 0 in the late stages, and every step runs over
-    all of them.
+    intermediate term already carries L^excess, so the floor d - n + 1
+    below which a popcount level is dead rises with the degree d, and
+    ``_live_stages`` runs each step over the live levels only.  The last
+    stage ends at degree n + k with its floor at k + 1: the one live slot
+    is D_1...D_(k+1) with L^(n-1), the top monomial, and its coefficient
+    is the integral.
 
     The class is integral; the 1/(k+1)! is the one division, and the only
     use of ``fractions`` in this module.
@@ -327,4 +403,4 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
         raise HypothesisError(
             f"dimension balance violated: n+k = {n + k} < (k+1)r = {(k + 1) * r}"
         )
-    return Fraction(integrate(_stages(e, k, excess)), factorial(k + 1))
+    return Fraction(_live_stages(e, k, excess)[k + 1][0], factorial(k + 1))

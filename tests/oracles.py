@@ -11,6 +11,9 @@ pytest does not collect it.
 * ``OracleRing``: a factory for fiber-ring elements: scalars, the
   generators L, D_i, H_i and Delta_(i,j), and H_i^m, which the package
   writes only as integers or, in the closed form, as its normal form.
+  It builds ``OracleElement``s, which add negation, subtraction and
+  powers to the package's sums and products.
+* ``integrate``: the pairing with the fundamental class.
 * ``coefficient``: one coefficient of a fiber-ring element, with the
   normal-form checks on its monomial.
 """
@@ -61,6 +64,52 @@ def double_point_expansion(cv) -> int:
     return total
 
 
+class OracleElement(FiberRingElement):
+    """A fiber-ring element with the operations only the tests use.
+
+    Sums and products are the package's ``__add__`` and ``__mul__``, kept
+    in this class; an element equals a package element with the same
+    fields, so the tests compare the two directly.
+    """
+
+    def __eq__(self, other):
+        if not isinstance(other, FiberRingElement):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = FiberRingElement.__hash__
+
+    def __add__(self, other: FiberRingElement) -> "OracleElement":
+        return OracleElement(*super().__add__(other)._fields())
+
+    def __mul__(self, other: FiberRingElement) -> "OracleElement":
+        return OracleElement(*super().__mul__(other)._fields())
+
+    def __neg__(self) -> "OracleElement":
+        return OracleElement(self.ambient_dim, self.factors, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: FiberRingElement) -> "OracleElement":
+        return self + (-other)
+
+    def __pow__(self, exponent: int) -> "OracleElement":
+        if exponent < 0:
+            raise ValueError("negative powers are not defined here")
+        result = OracleElement(self.ambient_dim, self.factors, {(0, 0): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+def integrate(x: FiberRingElement) -> int:
+    """Pairing with the fundamental class.
+
+    Reads off the coefficient of the unique top monomial
+    L^(n-1) * D_1...D_f; every other normal-form monomial integrates to 0.
+    """
+    n, f = x.ambient_dim, x.factors
+    return x.terms.get((n - 1, (1 << f) - 1), 0)
+
+
 def _check_index(i: int, factors: int):
     if not 1 <= i <= factors:
         raise IndexError(f"factor index {i} out of range 1..{factors}")
@@ -68,7 +117,8 @@ def _check_index(i: int, factors: int):
 
 class OracleRing:
     """Elements of H*((T/Q)^factors) over P^ambient_dim, built from the
-    generators with the package's general ``__mul__`` and ``__add__``."""
+    generators with the package's general ``__mul__`` and ``__add__``, as
+    ``OracleElement``s."""
 
     def __init__(self, ambient_dim: int, factors: int):
         if ambient_dim < 1:
@@ -78,8 +128,8 @@ class OracleRing:
         self.ambient_dim = ambient_dim
         self.factors = factors
 
-    def _element(self, terms: dict) -> FiberRingElement:
-        return FiberRingElement(self.ambient_dim, self.factors, terms)
+    def _element(self, terms: dict) -> OracleElement:
+        return OracleElement(self.ambient_dim, self.factors, terms)
 
     def scalar(self, c) -> FiberRingElement:
         return self._element({(0, 0): c} if c != 0 else {})

@@ -22,12 +22,11 @@ from multisecant.bundles import (
 from multisecant.errors import AmbientMismatchError, HypothesisError
 from multisecant.fiberring import (
     closed_form_top_chern,
-    integrate,
     recursion_top_chern,
     secant_count_via_ring,
 )
 from multisecant.secants import multisecant_report
-from oracles import OracleRing, coefficient
+from oracles import OracleRing, coefficient, integrate
 
 
 class TestRelations:
@@ -590,10 +589,94 @@ class TestFormKernel:
         assert secant_count_via_ring(cv, k) == multisecant_report(cv, k).value
 
 
+class TestLiveLevels:
+    """``_live_stages``, the ring count's kernel, against the recursion's
+    dense ``_stages``.
+
+    The count runs the stages on L^excess and keeps, of a class of degree
+    d over t bits, only the popcount levels s > d - n, each in ascending
+    mask order.  Stage t's class does not depend on k, so the class at
+    the end of stage t is the kernel's result for k = t - 1 at the same
+    excess; it must match the dense class times L^excess, a product by
+    the general ``__mul__``, in every slot of every live level.
+    """
+
+    @staticmethod
+    def level_masks(bits, s):
+        return [m for m in range(1 << bits) if m.bit_count() == s]
+
+    def check(self, cv, k, seen):
+        n, r = cv.ambient_dim, cv.codim
+        excess = n + k - (k + 1) * r
+        for stage in range(k + 1):
+            levels = fiberring._live_stages(cv, stage, excess)
+            ring = OracleRing(n, stage + 1)
+            dense = fiberring._stages(cv, stage) * ring.l_class() ** excess
+            d = excess + (stage + 1) * r
+            assert len(levels) == stage + 2
+            for s, level in enumerate(levels):
+                masks = self.level_masks(stage + 1, s)
+                if s <= d - n:
+                    # L^(d-s) = 0: a dead level, and no term of the product
+                    assert level is None
+                    assert not any((d - s, m) in dense.terms for m in masks)
+                    seen["dead level"] += 1
+                    continue
+                assert level == [dense.terms.get((d - s, m), 0) for m in masks]
+                seen["live slot"] += len(level)
+                seen["nonzero live slot"] += any(level)
+        # the last stage ends at degree n + k: the top slot is all that lives
+        assert levels[:-1] == [None] * (k + 1) and len(levels[-1]) == 1
+        assert levels[-1][0] == integrate(dense)
+        seen[f"r = {r}"] += 1
+        seen["excess = 0"] += excess == 0
+        seen["k = 0"] += k == 0
+        seen["n = 1"] += n == 1
+        seen["c_i = 0"] += 0 in cv.c
+
+    def test_matches_dense_stages_slot_for_slot(self):
+        rng = random.Random(26)
+        seen = collections.Counter()
+        shapes = [(1, 1, 0), (1, 1, 3), (4, 4, 0), (7, 4, 1), (5, 2, 3)]
+        while len(shapes) < 150:
+            n, r, k = rng.randint(1, 12), rng.randint(1, 4), rng.randint(0, 5)
+            if n + k >= (k + 1) * r:
+                shapes.append((n, r, k))
+        for n, r, k in shapes:
+            cv = ChernVector.make(n, [1] + [rng.choice([0, rng.randint(-9, 9)]) for _ in range(r)])
+            self.check(cv, k, seen)
+        wanted = ["dead level", "live slot", "nonzero live slot", "excess = 0", "k = 0", "n = 1", "c_i = 0"]
+        assert all(seen[key] for key in wanted + [f"r = {r}" for r in range(1, 5)]), seen
+
+    @pytest.mark.parametrize("bits", range(11))
+    def test_gathers_drop_one_set_bit(self, bits):
+        # applied to level s - 1's masks themselves, the k-th gather of
+        # level s reads each mask of level s less its k-th set bit
+        for s in range(bits + 1):
+            masks, lower = self.level_masks(bits, s), self.level_masks(bits, s - 1)
+            gathers = fiberring._gathers(bits, s)
+            assert len(gathers) == s
+            for k, gather in enumerate(gathers):
+                expected = []
+                for mask in masks:
+                    low_bits = [b for b in range(bits) if mask >> b & 1]
+                    expected.append(mask & ~(1 << low_bits[k]))
+                assert list(gather(lower)) == expected
+
+
 class TestOracleIndependence:
     """README: the oracle and the scalar product route share no code."""
 
-    ORACLE = ("recursion_top_chern", "secant_count_via_ring", "_stages")
+    ORACLE = (
+        "recursion_top_chern",
+        "secant_count_via_ring",
+        "_stages",
+        "_live_stages",
+        "_level_step",
+        "_level_plus_u",
+        "_gathers",
+        "_ranks",
+    )
 
     @staticmethod
     def module():
