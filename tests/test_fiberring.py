@@ -643,10 +643,11 @@ class TestLiveLevels:
             if n + k >= (k + 1) * r:
                 shapes.append((n, r, k))
         for n, r, k in shapes:
-            cv = ChernVector.make(n, [1] + [rng.choice([0, rng.randint(-9, 9)]) for _ in range(r)])
-            self.check(cv, k, seen)
-        wanted = ["dead level", "live slot", "nonzero live slot", "excess = 0", "k = 0", "n = 1", "c_i = 0"]
-        assert all(seen[key] for key in wanted + [f"r = {r}" for r in range(1, 5)]), seen
+            tail = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(r)]
+            self.check(ChernVector.make(n, [1] + tail), k, seen)
+        wanted = ["dead level", "live slot", "nonzero live slot", "excess = 0", "k = 0", "n = 1"]
+        wanted += ["c_i = 0"] + [f"r = {r}" for r in range(1, 5)]
+        assert all(seen[key] for key in wanted), seen
 
     @pytest.mark.parametrize("bits", range(11))
     def test_gathers_drop_one_set_bit(self, bits):
