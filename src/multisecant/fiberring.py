@@ -46,25 +46,30 @@ N = -sum_(j<t) Delta_(j,t).  That sum is evaluated by Horner's rule in N,
 so the accumulated class is multiplied by N and by c H_t^m and never by
 the expanded factor or a power of N.  Every class the recursion builds
 is homogeneous, so the stages carry a class of degree d over D_1..D_t as
-a dense list of 2^t integers indexed by D-mask: the slot of S holds the
-coefficient of L^(d-|S|) * D_S, and 0 where there is no term.  Written
-in the generators,
+one integer X = sum_S x_S 2^(W S) of 2^t signed fields of W bits: the
+field of S holds the coefficient of L^(d-|S|) * D_S.  Written in the
+generators,
 
     c H_t^m = c L^(m-1) * (L + D_t),
     N       = (1-t) (L + D_t) - sum_(j<t) D_j,
 
-and the relations become slot rules.  Split the class into P, the masks
+and the relations become field rules.  Split the class into P, the masks
 without D_t, and Q, those with it.  As (L + D_t) D_t = 0, multiplying by
 (L + D_t) sends P + Q D_t to P + P D_t.  As D_j D_S = -L D_S for j in S,
 multiplying by -sum_(j<t) D_j sends a half v to U(v), where
 U(v)[S] = |S| v[S] - sum_(j in S) v[S - j].  So a Horner step writes
 y * N + acc * c H_t^m as the halves (1-t) P + c acc + U(P) and
-(1-t) P + c acc + U(Q).  The sum over j in S runs one bit at a time,
-each bit adding the slots without it into the slots with it through
-list slices, so every update is a C-level ``map`` over a slice rather
-than one Python step per term.  L^n = 0 zeroes the slots with
-d - |S| >= n once per stage; L^n generates an ideal, so what the stage
-carries in those slots until then never reaches a live one.
+(1-t) P + c acc + U(Q), linear over the fields and so exact on the
+packed integers.  Over b bits, with B = 2^(W-1) in every field and y_j
+the fields of v + B whose index lacks bit j,
+
+    U(v) = b (v + B) - sum_j (y_j + (y_j << W 2^j)),
+
+as the bias terms sum to b B; the bias makes each field nonnegative, so
+a mask reads it alone.  ``_width`` bounds every field the kernel holds,
+so no field spills into the next.  L^n = 0 kills the fields with
+d - |S| >= n, which the stages carry to the end: an L-exponent never
+falls, so a dead field feeds only dead fields.
 
 The secant count needs only the top coefficient of the class times
 L^(n+k-(k+1)r).  It runs the stages on that power of L from the start,
@@ -72,9 +77,7 @@ on a second layout: one list per popcount level s, holding the slots of
 the masks of popcount s in ascending order, from the floor d - n + 1
 up.  Below the floor L^(d-s) = 0, and a slot's L-exponent never falls,
 so a dead slot feeds only dead slots and each step drops its dead levels
-at once; late in the count only a few levels are live.  Level s over t
-bits is level s over t - 1 bits followed by level s - 1 over t - 1 bits
-with D_t added, so the halves join level by level, and U maps level
+at once; late in the count only a few levels are live.  U maps level
 s - 1 into level s through one index table per set bit, each gathered
 at C level.
 
@@ -160,93 +163,93 @@ class FiberRingElement(Record):
 # -- the secant-degree computation ---------------------------------------
 
 
-@cache
-def _layout(size: int) -> tuple[list[int], tuple[tuple[slice, slice], ...]]:
-    """The popcount of each mask below ``size`` (a power of 2), and for
-    each bit the pairs (masks with the bit, the same masks without it) as
-    slices of a list indexed by mask.  A bit is cut into strided slices
-    while it is low and into contiguous blocks once it is high, whichever
-    gives fewer, so no bit takes more than about sqrt(size / 2) slices.
+def _width(cs: tuple[int, ...], k: int) -> int:
+    """The field width W of ``_stages`` on Chern data cs: every field the
+    kernel holds, dead ones included, has |x| < 2^(W-2).
+
+    Let A bound the fields of a stage's acc (|c_r| at the start) and V
+    those of its halves P and Q, which start at A and 0.  In a step over
+    t - 1 bits, |(1-t) P + c acc| <= (t-1) V + |c| A and |U(v)[S]| <=
+    2 |S| |v| <= 2 (t-1) V, so the new halves are bounded by
+    3 (t-1) V + |c| A >= V.  The join adds nothing and nothing is cut
+    before the unpack, so the last stage's V bounds every field.  W is
+    its bit length plus 2, rounded up to whole bytes.
     """
-    pairs = []
-    bit = 1
-    while bit < size:
-        step = bit << 1
-        if bit * bit <= size >> 1:
-            pairs += [(slice(bit + i, size, step), slice(i, size, step)) for i in range(bit)]
-        else:
-            pairs += [(slice(b + bit, b + step), slice(b, b + bit)) for b in range(0, size, step)]
-        bit = step
-    return [s.bit_count() for s in range(size)], tuple(pairs)
+    top = abs(cs[-1])
+    for t in range(2, k + 2):
+        v = top
+        for c in cs[1:]:
+            v = 3 * (t - 1) * v + abs(c) * top
+        top = v
+    return (top.bit_length() + 9) // 8 * 8
 
 
-def _truncate(y: list[int], d: int, n: int) -> list[int]:
-    """The class y of degree d with L^n = 0 applied: each slot S with
-    d - |S| >= n, i.e. |S| <= d - n, zeroed."""
-    cut = d - n
-    return y if cut < 0 else [x if m > cut else 0 for m, x in zip(_layout(len(y))[0], y)]
+def _masks(bits: int, width: int):
+    """For j = bits-1 down to 0: j and the mask of the fields (2^bits, W
+    bits each) whose index lacks bit j.  The first is the lower half, and
+    each next one the last xor itself shifted by 2^(j-1) fields, as 0x0f0f
+    gives 0x3333 and 0x5555; one mask is alive at a time."""
+    keep = (1 << (width << bits >> 1)) - 1
+    for j in range(bits - 1, -1, -1):
+        yield j, keep
+        if j:
+            keep ^= keep << (width << j >> 1)
 
 
-def _plus_u(base: list[int], v: list[int], counts: list[int], pairs) -> list[int]:
-    """base + U(v), U(v)[S] = |S| v[S] - sum_(j in S) v[S - j]: the
-    product of the class v by -sum_j D_j over every D_j its masks can
-    hold, as D_j D_S = -L D_S for j in S.  ``counts`` and ``pairs`` are
-    v's ``_layout``; each bit's updates run over its slices."""
-    w = list(map(add, base, map(mul, counts, v)))
-    for with_bit, without in pairs:
-        w[with_bit] = map(sub, w[with_bit], v[without])
-    return w
-
-
-def _step(p: list[int], q: list[int], acc: list[int], a: int, c: int):
-    """One Horner step of stage t: the halves of y * N_t + c * acc * H_t^m.
+def _step(p: int, q: int, acc: int, c: int, bits: int, width: int, bias: int):
+    """One Horner step of stage t = bits + 1: the halves of
+    y * N_t + c * acc * H_t^m, each over 2^bits fields of W bits.
 
     y = P + Q D_t is a class of degree d over D_1..D_t, given as its
     halves P (masks without D_t) and Q (the masks with D_t, less D_t);
-    acc is a class of degree d + 1 - m over D_1..D_(t-1), so both
-    products have degree d + 1.  With a = 1 - t,
-
-        N_t = a H_t - sum_(j<t) D_j,   H_t = L + D_t,
-
-    and (L + D_t) D_t = 0 make y * a H_t = a P H_t, which is a P in each
-    half, while -sum_(j<t) D_j acts on each half alone, as U.  The factor
-    H_t^m = L^(m-1) H_t adds c * acc to each half.  A zero Q half, as at
-    the first step of a stage, has U(Q) = 0 and is not run through the
-    slices.  Nothing is truncated.
+    acc is a class of degree d + 1 - m over D_1..D_(t-1).  U is one
+    masked shift-add per bit on v + B, B = ``bias``.  A zero Q half, as
+    at a stage's first step, has U(Q) = 0 and is not run.
     """
-    counts, pairs = _layout(len(p))
-    base = [a * x + c * y for x, y in zip(p, acc)]
-    return _plus_u(base, p, counts, pairs), _plus_u(base, q, counts, pairs) if any(q) else base
+    base = c * acc - bits * p  # 1 - t = -bits
+    p += bias
+    q = q and q + bias
+    up, uq = base + bits * p, base + bits * q
+    for j, keep in _masks(bits, width):
+        y = p & keep
+        up -= y + (y << (width << j))
+        if q:
+            y = q & keep
+            uq -= y + (y << (width << j))
+    return up, uq
 
 
 def _stages(e: ChernVector, k: int) -> FiberRingElement:
-    """c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``.
+    """c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``, each
+    class packed as in the module docstring.
 
-    The running class is homogeneous of degree d, so it is carried as a
-    list of 2^t slots indexed by D-mask: the slot of S holds the
-    coefficient of L^(d-|S|) * D_S, and 0 where there is no term.  Stage
-    t splits the class into its halves without and with D_t; the base
-    class c_r H_1^r is c_r L^r + c_r L^(r-1) D_1.  Horner's rule
-    in N: y = c_0 acc, then for i = r-1 down to 0,
-    y = y * N + acc * c_(r-i) H_t^(r-i), each a ``_step``.  L^n = 0 is
-    applied once per stage: it generates an ideal, so a slot it would
-    have zeroed earlier only carries a dead term to the stage's end.
-    The class becomes a ``FiberRingElement`` once, at the end.
+    Nearly every field of the recursion's classes is live, so a packed
+    half costs a few whole-integer operations where a list costs a Python
+    step per slot.  The base class c_r H_1^r is c_r L^r + c_r L^(r-1) D_1.
+    Horner's rule in N: y = c_0 acc, then for i = r-1 down to 0,
+    y = y * N + acc * c_(r-i) H_t^(r-i), each a ``_step``.  The class is
+    unpacked once, at the end, where L^n = 0 drops its dead fields.
 
-    The recursion keeps this dense cube rather than ``_live_stages``'s
-    levels: at its degrees nearly every slot is live, and on the verify
-    suite's many small rings the per-bit slices beat the per-level loops.
+    The count stays on ``_live_stages``'s levels: packed, it would carry
+    every dead field, nearly all of them late in the count.
     """
     r, cs, n = e.codim, e.c, e.ambient_dim
-    d = r
-    acc = _truncate([cs[r], cs[r]], d, n)
+    width = _width(cs, k)
+    bias = (1 << (width - 1)) * (1 + (1 << width))  # B over acc's fields
+    acc = cs[r] * (1 + (1 << width))
     for t in range(2, k + 2):
-        p, q = acc, [0] * len(acc)  # c_0 = 1
-        for i in range(r - 1, -1, -1):
-            p, q = _step(p, q, acc, 1 - t, cs[r - i])
-        d += r
-        acc = _truncate(p + q, d, n)
-    return FiberRingElement(n, k + 1, {(d - s.bit_count(), s): c for s, c in enumerate(acc) if c})
+        p, q = acc, 0  # c_0 = 1
+        for c in cs[1:]:
+            p, q = _step(p, q, acc, c, t - 1, width, bias)
+        bias |= bias << (width << (t - 1))
+        acc = p + (q << (width << (t - 1)))
+    step, d = width // 8, (k + 1) * r
+    raw = ((acc + bias) ^ bias).to_bytes(step << (k + 1), "little")
+    p = q = acc = bias = None  # freed: the unpack's peak holds raw and the terms alone
+    unpack = int.from_bytes
+    fields = [unpack(raw[i : i + step], "little", signed=True) for i in range(0, len(raw), step)]
+    terms = {(exp, s): c for s, c in enumerate(fields) if c and (exp := d - s.bit_count()) < n}
+    return FiberRingElement(n, k + 1, terms)
 
 
 def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -346,15 +349,10 @@ def _level_step(p: list, q: list | None, acc: list, a: int, c: int, floor: int):
 
 
 def _live_stages(e: ChernVector, k: int, excess: int) -> list:
-    """L^excess * c_((k+1)r)(E^(k+1)) on its live popcount levels.
-
-    The class of degree d over t bits is a list of levels: level s holds
-    the slots of the masks of popcount s in ascending order, and is None
-    below the floor d - n + 1, where L^(d-s) = 0.  A slot's L-exponent
-    never falls, as D_j D_S = -L D_S for j in S, so a dead slot feeds
-    only dead slots and each step drops its dead levels at once.  At a
-    stage's end the halves join level by level: level s over t bits is
-    P's level s followed by Q's level s - 1.
+    """L^excess * c_((k+1)r)(E^(k+1)) on its live popcount levels, the
+    count's layout in the module docstring; a level below the floor
+    d - n + 1 is None.  At a stage's end the halves join level by level:
+    level s over t bits is P's level s followed by Q's level s - 1.
     """
     r, cs, n = e.codim, e.c, e.ambient_dim
     d = excess + r
@@ -379,15 +377,13 @@ def secant_count_via_ring(e: ChernVector, k: int) -> Fraction:
     Requires the dimension balance n + k >= (k+1)r, i.e. the class must
     fit inside the ring's top degree.
 
-    The stages start from the class L^excess (degree excess, the empty
-    D-mask) instead of multiplying by L^excess at the end.  The ring is
-    commutative and L^n = 0, so the product is the same, but every
-    intermediate term already carries L^excess, so the floor d - n + 1
-    below which a popcount level is dead rises with the degree d, and
-    ``_live_stages`` runs each step over the live levels only.  The last
-    stage ends at degree n + k with its floor at k + 1: the one live slot
-    is D_1...D_(k+1) with L^(n-1), the top monomial, and its coefficient
-    is the integral.
+    The stages start from the class L^excess (the empty D-mask) instead
+    of multiplying by it at the end.  The ring is commutative, so the
+    product is the same, but every term then carries L^excess, so the
+    floor d - n + 1 below which a level is dead rises with the degree d,
+    and ``_live_stages`` runs each step over the live levels only.  The
+    last stage ends at degree n + k with one live slot, the top monomial
+    L^(n-1) D_1...D_(k+1), whose coefficient is the integral.
 
     The class is integral; the 1/(k+1)! is the one division, and the only
     use of ``fractions`` in this module.

@@ -476,17 +476,29 @@ class TestPrunedCount:
         assert type(secant_count_via_ring(cv, k)) is Fraction
 
 
+def pack(x, width):
+    """A list indexed by D-mask as one int of fields of ``width`` bits."""
+    return sum(v << (width * s) for s, v in enumerate(x))
+
+
+def unpack(x, size, width):
+    """The ``size`` signed fields of a packed int, read one at a time."""
+    half = 1 << (width - 1)
+    x += pack([half] * size, width)
+    return [(x >> (width * s) & ((1 << width) - 1)) - half for s in range(size)]
+
+
 class TestFormKernel:
     """``_step``, the recursion's only arithmetic, against ``__mul__``.
 
     Classes are random and homogeneous, given as lists indexed by D-mask
-    with a degree.  At stage t a step takes y over D_1..D_t, as its halves
-    without and with D_t, and acc over D_1..D_(t-1), and returns
-    y * N_t + acc * c H_t^m with N_t = -sum_(j<t) Delta_(j,t), for
-    m = 1..n+1.  The step truncates nothing, so its result is compared
-    after ``_truncate``.  Elements are rebuilt from the generators and the
-    factors built from them, so the comparison does not rely on the
-    kernel's mask encoding.
+    with a degree and packed into fields by the test's own ``pack``.  At
+    stage t a step takes y over D_1..D_t, as its halves without and with
+    D_t, and acc over D_1..D_(t-1), and returns y * N_t + acc * c H_t^m
+    with N_t = -sum_(j<t) Delta_(j,t), for m = 1..n+1.  The step
+    truncates nothing, so its result is compared with L^n = 0 applied.
+    Elements are rebuilt from the generators and the factors built from
+    them, so the comparison does not rely on the kernel's mask encoding.
     """
 
     @staticmethod
@@ -517,13 +529,15 @@ class TestFormKernel:
         rng = random.Random(11)
         seen = dict.fromkeys(
             ["mask contains t", "zero half", "top L-exponent", "empty factor", "c = 0",
-             "n = 1, t > 1", "truncated"],
+             "n = 1, t > 1", "truncated", "negative field"],
             0,
         )
         for _ in range(120):
             n, t = rng.randint(1, 8), rng.randint(1, 6)
+            width = rng.choice([16, 24, 64])  # every field below stays under 2^10
             ring = OracleRing(n, t)
             half = 1 << (t - 1)
+            bias = pack([1 << (width - 1)] * half, width)
             n_t = ring.zero()
             for j in range(1, t):
                 n_t = n_t - ring.diagonal_class(j, t)
@@ -535,10 +549,12 @@ class TestFormKernel:
                 if rng.random() < 0.25:
                     y[half:] = [0] * half
                 c = rng.choice([0, rng.randint(-9, 9)])
-                p, q = fiberring._step(y[:half], y[half:], acc, 1 - t, c)
-                assert len(p) == len(q) == half
-                out = p + q
-                product = fiberring._truncate(list(out), d + m, n)
+                p, q = fiberring._step(
+                    pack(y[:half], width), pack(y[half:], width), pack(acc, width),
+                    c, t - 1, width, bias,
+                )
+                out = unpack(p + (q << (width * half)), 2 * half, width)
+                product = [v if d + m - s.bit_count() < n else 0 for s, v in enumerate(out)]
                 factor = ring.scalar(c) * ring.hyperplane_class(t) ** m
                 expected = self.element(ring, y, d + m - 1) * n_t + self.element(ring, acc, d) * factor
                 assert self.element(ring, product, d + m) == expected
@@ -554,29 +570,24 @@ class TestFormKernel:
                 seen["empty factor"] += not factor.terms
                 seen["c = 0"] += c == 0
                 seen["truncated"] += product != out
+                seen["negative field"] += min(out) < 0
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("size", [1 << b for b in range(13)])
     def test_layout_covers_each_pair_once(self, size):
-        counts, pairs = fiberring._layout(size)
-        assert counts == [s.bit_count() for s in range(size)]
-        masks = list(range(size))
-        per_bit = collections.Counter()
-        covered = collections.Counter()
-        for with_bit, without in pairs:
-            high, low = masks[with_bit], masks[without]
-            assert len(high) == len(low) > 0
-            bits = {h ^ lo for h, lo in zip(high, low)}
-            assert len(bits) == 1  # one slice pair serves one bit
-            (bit,) = bits
-            per_bit[bit] += 1
-            covered.update((h, lo, bit) for h, lo in zip(high, low) if h & bit)
-        expected = {
-            (s | 1 << b, s, 1 << b) for b in range(size.bit_length() - 1) for s in masks if not s >> b & 1
-        }
-        assert set(covered) == expected
-        assert set(covered.values()) <= {1}
-        assert all(count <= math.isqrt(size // 2) for count in per_bit.values())
+        # for each bit j, the mask selects exactly the fields whose index
+        # lacks j, and shifted by 2^j fields it lands on exactly those with
+        # j, so the masked shift-adds of U cover each pair (S, S | j) once
+        bits = size.bit_length() - 1
+        for width in (8, 16, 40, 72):
+            ones = (1 << width) - 1
+            js = []
+            for j, keep in fiberring._masks(bits, width):
+                js.append(j)
+                without = [s for s in range(size) if not s >> j & 1]
+                assert keep == sum(ones << (width * s) for s in without)
+                assert keep << (width << j) == sum(ones << (width * (s | 1 << j)) for s in without)
+            assert js == list(range(bits - 1, -1, -1))
 
     def test_oracle_workload_shape(self):
         # the smallest ring of the benchmark's oracle cases: 2^9 monomials
@@ -587,6 +598,84 @@ class TestFormKernel:
         assert rec == closed_form_top_chern(cv, k)
         assert len(rec.terms) == 512
         assert secant_count_via_ring(cv, k) == multisecant_report(cv, k).value
+
+
+class TestWidth:
+    """``_width`` against every field ``_stages`` holds.
+
+    A plain-list replay of the stages, with nothing truncated before the
+    end as in the kernel, records each acc, each step's base and both
+    halves, dead fields included.  Every field must satisfy
+    |x| < 2^(W-2), the bound ``_width`` states, and the replay's last
+    class, with L^n = 0 applied, must equal ``_stages``.  The
+    replay also runs as the bound's majorant, on |c_i| with no sign
+    cancelling, |x| and |U(v)[S]| <= |S| |v[S]| + sum_(j in S) |v[S - j]|,
+    which must stay under the same 2^(W-2) whatever the data's signs.
+    """
+
+    @staticmethod
+    def replay(cv, k, majorant=False):
+        r, n = cv.codim, cv.ambient_dim
+        cs, sign, a = (list(map(abs, cv.c)), 1, abs) if majorant else (cv.c, -1, int)
+
+        def u(v):
+            bits = len(v).bit_length() - 1
+            return [
+                s.bit_count() * v[s]
+                + sign * sum(v[s & ~(1 << j)] for j in range(bits) if s >> j & 1)
+                for s in range(len(v))
+            ]
+
+        largest, acc = abs(cs[r]), [cs[r], cs[r]]
+        for t in range(2, k + 2):
+            p, q = acc, [0] * len(acc)
+            for c in cs[1:]:
+                base = [a(1 - t) * x + c * y for x, y in zip(p, acc)]
+                p, q = [b + x for b, x in zip(base, u(p))], [b + x for b, x in zip(base, u(q))]
+                largest = max(largest, *map(abs, base + p + q))
+            acc = p + q
+        d = (k + 1) * r
+        terms = {(d - s.bit_count(), s): v for s, v in enumerate(acc) if v}
+        return largest, {key: v for key, v in terms.items() if key[0] < n}
+
+    def check(self, cv, k):
+        largest, terms = self.replay(cv, k)
+        bound, _ = self.replay(cv, k, majorant=True)
+        width = fiberring._width(cv.c, k)
+        assert width % 8 == 0
+        assert largest <= bound < 1 << (width - 2)
+        assert fiberring._stages(cv, k).terms == terms
+        return bound, width
+
+    def test_seeded_shapes(self):
+        rng = random.Random(27)
+        seen = collections.Counter()
+        for _ in range(300):
+            n, r, k = rng.randint(1, 12), rng.randint(1, 4), rng.randint(0, 5)
+            scale = rng.choice([9, 9, 10**30])
+            tail = [rng.choice([0, rng.randint(-scale, scale)]) for _ in range(r)]
+            bound, width = self.check(ChernVector.make(n, [1] + tail), k)
+            seen["truncating"] += (k + 1) * r > n
+            seen["c_i = 0"] += 0 in tail
+            seen["|c_i| > 2^64"] += max(map(abs, tail)) > 2**64
+            seen["k = 0"] += k == 0
+            # the majorant comes within a byte and the headroom of 2^W
+            seen["tight"] += bound.bit_length() >= width - 10
+        wanted = ("truncating", "c_i = 0", "|c_i| > 2^64", "k = 0", "tight")
+        assert all(seen[key] for key in wanted), seen
+
+    @given(
+        st.integers(1, 12),
+        st.integers(0, 5),
+        st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_holds(self, n, k, tail):
+        self.check(ChernVector.make(n, [1] + tail), k)
 
 
 class TestLiveLevels:
@@ -672,6 +761,9 @@ class TestOracleIndependence:
         "recursion_top_chern",
         "secant_count_via_ring",
         "_stages",
+        "_width",
+        "_masks",
+        "_step",
         "_live_stages",
         "_level_step",
         "_level_plus_u",
