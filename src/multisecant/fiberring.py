@@ -28,9 +28,12 @@ recursion writes its factors as integers.  The generators L, D_i,
 H_i and Delta_(i,j) are the test suite's oracle (``OracleRing`` in
 tests/oracles.py).
 
-Elements are immutable maps from monomials (L-exponent, D-subset bitmask)
-to integer coefficients; normal form is unique, so equality of elements
-is equality of maps.
+Every class here is homogeneous, so an element stores its degree d once
+and maps each D-subset bitmask S to the integer coefficient of
+L^(d-|S|) * D_S, leaving out zero terms and the dead ones with
+d - |S| >= n.  A product has degree d1 + d2 and keys its monomial by
+S1 | S2.  Normal form is unique, so equality of elements is equality of
+degrees and maps.
 
 The ring exists to replay the secant-degree recursion
 
@@ -69,7 +72,11 @@ as the bias terms sum to b B; the bias makes each field nonnegative, so
 a mask reads it alone.  ``_width`` bounds every field the kernel holds,
 so no field spills into the next.  L^n = 0 kills the fields with
 d - |S| >= n, which the stages carry to the end: an L-exponent never
-falls, so a dead field feeds only dead fields.
+falls, so a dead field feeds only dead fields.  As the fields are indexed
+by S, they are the term map as it stands: X + B is written out once as
+bytes, cut into fields by a ``struct.Struct`` built for the call, and
+each field is read back unsigned less 2^(W-1), all at C level; the map
+keeps the nonzero fields, and only when d >= n drops the dead ones.
 
 The secant count needs only the top coefficient of the class times
 L^(n+k-(k+1)r).  It runs the stages on that power of L from the start,
@@ -86,8 +93,9 @@ and the k+1 factors carry distinct D_i, so no relation applies and the
 product is scalar * sum_S L^((k+1)r-|S|) * D_S over the subsets S of the
 factors, less the terms whose L-exponent reaches n.  ``__mul__`` and
 ``__add__`` stay the general arithmetic that the tests' ``OracleRing``
-builds its elements with; negation, powers and integration are the
-tests' own (tests/oracles.py).
+builds its elements with: a product adds the degrees, and a sum needs
+equal ones.  Negation, powers and integration are the tests' own
+(tests/oracles.py).
 
 Integration sends the unique top monomial L^(n-1) * D_1...D_f to 1 and
 every other monomial to 0, so the count's integral is the coefficient of
@@ -101,6 +109,7 @@ from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, itemgetter, mul, sub
+from struct import Struct
 from typing import TYPE_CHECKING
 
 from .bundles import ChernVector, top_chern_twisted
@@ -109,18 +118,16 @@ from .errors import AmbientMismatchError, HypothesisError, Record
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Monomial key: (exponent of L, bitmask of D-generators present).
-Monomial = tuple[int, int]
-
-
 class FiberRingElement(Record):
-    """Normal-form element of H*((T/Q)^factors) for P^ambient_dim.
+    """Homogeneous normal-form element of degree ``degree`` of
+    H*((T/Q)^factors) for P^ambient_dim.
 
-    ``terms`` maps monomials to nonzero integer coefficients.  Instances
-    are immutable (but unhashable: the term map is a dict).
+    ``terms`` maps a D-subset mask S to the nonzero integer coefficient of
+    L^(degree-|S|) * D_S; a mask with degree - |S| >= n has no term.
+    Instances are immutable (but unhashable: the term map is a dict).
     """
 
-    __slots__ = ("ambient_dim", "factors", "terms")
+    __slots__ = ("ambient_dim", "factors", "degree", "terms")
 
     def _check_compat(self, other: "FiberRingElement"):
         if (self.ambient_dim, self.factors) != (other.ambient_dim, other.factors):
@@ -131,40 +138,35 @@ class FiberRingElement(Record):
 
     def __add__(self, other: "FiberRingElement") -> "FiberRingElement":
         self._check_compat(other)
+        if self.degree != other.degree:
+            raise ValueError(f"degrees differ: {self.degree} vs {other.degree}")
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = out.get(mono, 0) + c
-            if acc == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = acc
-        return FiberRingElement(self.ambient_dim, self.factors, out)
+        for s, c in other.terms.items():
+            out[s] = out.get(s, 0) + c
+        return FiberRingElement(
+            self.ambient_dim, self.factors, self.degree, {s: c for s, c in out.items() if c}
+        )
 
     def __mul__(self, other: "FiberRingElement") -> "FiberRingElement":
         self._check_compat(other)
-        n = self.ambient_dim
-        out: dict[Monomial, int] = {}
-        for (e1, s1), c1 in self.terms.items():
-            for (e2, s2), c2 in other.terms.items():
-                common = (s1 & s2).bit_count()
-                e = e1 + e2 + common
-                if e >= n:
-                    continue
-                key = (e, s1 | s2)
-                c = c1 * c2 if common % 2 == 0 else -c1 * c2
-                acc = out.get(key, 0) + c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return FiberRingElement(n, self.factors, out)
+        degree = self.degree + other.degree
+        floor = degree - self.ambient_dim  # L^(degree-|S|) = 0 when |S| <= floor
+        out = {}
+        for s1, c1 in self.terms.items():
+            for s2, c2 in other.terms.items():
+                c = -c1 * c2 if (s1 & s2).bit_count() % 2 else c1 * c2
+                out[s1 | s2] = out.get(s1 | s2, 0) + c
+        return FiberRingElement(
+            self.ambient_dim, self.factors, degree,
+            {s: c for s, c in out.items() if c and s.bit_count() > floor}
+        )
 
 
 # -- the secant-degree computation ---------------------------------------
 
 
 def _width(cs: tuple[int, ...], k: int) -> int:
-    """The field width W of ``_stages`` on Chern data cs: every field the
+    """The field width W of ``recursion_top_chern`` on Chern data cs: every field the
     kernel holds, dead ones included, has |x| < 2^(W-2).
 
     Let A bound the fields of a stage's acc (|c_r| at the start) and V
@@ -219,20 +221,47 @@ def _step(p: int, q: int, acc: int, c: int, bits: int, width: int, bias: int):
     return up, uq
 
 
-def _stages(e: ChernVector, k: int) -> FiberRingElement:
-    """c_((k+1)r)(E^(k+1)): the stages of ``recursion_top_chern``, each
-    class packed as in the module docstring.
+def _terms(raw, step, size, floor):
+    """The term map of the ``size`` fields of ``step`` bytes each in
+    ``raw``, the little-endian bytes of X + B, less the dead masks S with
+    |S| <= floor = d - n.  Each field is read unsigned less 2^(8 step - 1)
+    and kept when nonzero, at C level unless some mask is dead.  The
+    ``Struct`` is built per call, as ``struct.unpack``'s module cache
+    would keep the format alive."""
+    chunks = Struct(f"{step}s" * size).unpack(raw)
+    fields = map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (8 * step - 1)))
+    if floor < 0:
+        return dict(filter(itemgetter(1), enumerate(fields)))
+    return {s: c for s, c in enumerate(fields) if c and s.bit_count() > floor}
 
-    Nearly every field of the recursion's classes is live, so a packed
-    half costs a few whole-integer operations where a list costs a Python
-    step per slot.  The base class c_r H_1^r is c_r L^r + c_r L^(r-1) D_1.
-    Horner's rule in N: y = c_0 acc, then for i = r-1 down to 0,
-    y = y * N + acc * c_(r-i) H_t^(r-i), each a ``_step``.  The class is
-    unpacked once, at the end, where L^n = 0 drops its dead fields.
 
-    The count stays on ``_live_stages``'s levels: packed, it would carry
-    every dead field, nearly all of them late in the count.
+def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
+    """c_((k+1)r)(E^(k+1)) by iterating the exact-sequence recursion.
+
+    The base case is c_r * H_1^r = c_r L^r + c_r L^(r-1) D_1.  Stage
+    t = 2..k+1 multiplies the accumulated class by
+
+        c_r(q_t* E tensor O(-Delta_(1,t) - ... - Delta_(t-1,t)))
+          = sum_{i=0}^{r} c_(r-i) H_t^(r-i) N^i,   N = -sum_(j<t) Delta_(j,t),
+
+    with each c_i(E) pulled back through factor t as the scalar c_i times
+    H_t^i.  The sum is evaluated by Horner's rule in N, so each stage costs
+    r products with the degree-1 class N and at most r with c_i H_t^i,
+    never a product with the expanded factor: y = c_0 acc, then for
+    i = r-1 down to 0, y = y * N + acc * c_(r-i) H_t^(r-i), each pair a
+    ``_step``.
+
+    Each class is packed as in the module docstring.  Nearly every field
+    of the recursion's classes is live, so a packed half costs a few
+    whole-integer operations where a list costs a Python step per slot.
+    The class is unpacked once, at the end, straight into its term map
+    (``_terms``): field S is the coefficient of L^(d-|S|) D_S, so no key
+    is built per term.  The count stays on ``_live_stages``'s levels:
+    packed, it would carry every dead field, nearly all of them late in
+    the count.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     r, cs, n = e.codim, e.c, e.ambient_dim
     width = _width(cs, k)
     bias = (1 << (width - 1)) * (1 + (1 << width))  # B over acc's fields
@@ -243,32 +272,10 @@ def _stages(e: ChernVector, k: int) -> FiberRingElement:
             p, q = _step(p, q, acc, c, t - 1, width, bias)
         bias |= bias << (width << (t - 1))
         acc = p + (q << (width << (t - 1)))
-    step, d = width // 8, (k + 1) * r
-    raw = ((acc + bias) ^ bias).to_bytes(step << (k + 1), "little")
+    step, size, d = width // 8, 2 << k, (k + 1) * r
+    raw = (acc + bias).to_bytes(step * size, "little")
     p = q = acc = bias = None  # freed: the unpack's peak holds raw and the terms alone
-    unpack = int.from_bytes
-    fields = [unpack(raw[i : i + step], "little", signed=True) for i in range(0, len(raw), step)]
-    terms = {(exp, s): c for s, c in enumerate(fields) if c and (exp := d - s.bit_count()) < n}
-    return FiberRingElement(n, k + 1, terms)
-
-
-def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
-    """c_((k+1)r)(E^(k+1)) by iterating the exact-sequence recursion.
-
-    The base case is c_r * H_1^r.  Stage t = 2..k+1 multiplies the
-    accumulated class by
-
-        c_r(q_t* E tensor O(-Delta_(1,t) - ... - Delta_(t-1,t)))
-          = sum_{i=0}^{r} c_(r-i) H_t^(r-i) N^i,   N = -sum_(j<t) Delta_(j,t),
-
-    with each c_i(E) pulled back through factor t as the scalar c_i times
-    H_t^i.  The sum is evaluated by Horner's rule in N, so each stage costs
-    r products with the degree-1 class N and at most r with c_i H_t^i,
-    never a product with the expanded factor; ``_step`` does each pair.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return _stages(e, k)
+    return FiberRingElement(n, k + 1, d, _terms(raw, step, size, d - n))
 
 
 def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
@@ -276,16 +283,18 @@ def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:
 
     The product of the H_i^r = L^(r-1) * (D_i + L) over distinct factors is
     sum_S L^((k+1)r-|S|) * D_S, so every subset S of the factors carries
-    the scalar; a term whose L-exponent reaches n vanishes, and a zero
-    scalar gives no terms.
+    the scalar: the term map is one ``dict.fromkeys`` over the masks.  A
+    term whose L-exponent reaches n vanishes, and a zero scalar gives no
+    terms.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n, degree = e.ambient_dim, (k + 1) * e.codim
     scalar = prod(top_chern_twisted(e, -i) for i in range(k + 1))
     masks = range(1 << (k + 1)) if scalar else ()
-    terms = {(degree - s.bit_count(), s): scalar for s in masks if s.bit_count() > degree - n}
-    return FiberRingElement(n, k + 1, terms)
+    if degree >= n:  # L^n = 0 kills the masks with |S| <= degree - n
+        masks = [s for s in masks if s.bit_count() > degree - n]
+    return FiberRingElement(n, k + 1, degree, dict.fromkeys(masks, scalar))
 
 
 @cache

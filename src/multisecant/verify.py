@@ -15,6 +15,10 @@ three exhaustive grids of ``lemma51`` and the worked instance of
 ``cterm``.  A seeded suite supplies only its sample line and how one case
 is drawn and checked.
 
+Each runner imports the layers it checks when it is called, so that a
+run loads only its own suite's modules; as the names are read from their
+modules at call time, a patched or traced function is seen.
+
 ``bterm-experiment`` is different in kind: it compares the raw and
 reduced forms of the trisecant (b) term, which differ by the raw sum's
 dropped t = n cell at n = 2r-2 (see ``secants.goettsche_b_full``), and
@@ -28,20 +32,6 @@ import random
 from typing import Callable
 
 from .bundles import ChernVector, _chern_data
-from .combinat import (
-    koszul_rank_identity,
-    wedge_resolution_sum_shifted,
-    wedge_resolution_sum_unit,
-)
-from .fiberring import closed_form_top_chern, recursion_top_chern
-from .secants import (
-    goettsche_b_full,
-    goettsche_b_reduced,
-    goettsche_c_full,
-    goettsche_c_reduced,
-    trisecant_closed,
-    trisecant_double_sum,
-)
 
 
 def _count(lines: list[str], broken: list[tuple[str, str]]) -> int:
@@ -110,6 +100,8 @@ def run_recursion_oracle(lines: list[str], trials: int, seed: int) -> int:
     Trials cycle round-robin over the full (n, r, k) grid so every cell is
     exercised; Chern data is drawn fresh per trial with |c_i| <= 5.
     """
+    from .fiberring import closed_form_top_chern, recursion_top_chern
+
     grid = oracle_grid()
 
     def case(rng, trial):
@@ -124,6 +116,7 @@ def run_recursion_oracle(lines: list[str], trials: int, seed: int) -> int:
 
 def run_trisecant_identity(lines: list[str], trials: int, seed: int) -> int:
     """trisecant double sum == trisecant closed form, exact."""
+    from .secants import trisecant_closed, trisecant_double_sum
 
     def case(rng, trial):
         r = rng.randint(1, 6)
@@ -143,6 +136,12 @@ def run_lemma51(lines: list[str], trials: int, seed: int) -> int:
     in the off-by-one printed form, which instead equals (-1)^t (t+1);
     the discrepancy witness at (n=2, t=1) is always reported.
     """
+    from .combinat import (
+        koszul_rank_identity,
+        wedge_resolution_sum_shifted,
+        wedge_resolution_sum_unit,
+    )
+
     del trials, seed  # exhaustive grids
     lines.append(
         "grid: rank identity for l+p <= 40, t <= 40; alternating sums for n, t <= 30"
@@ -184,6 +183,7 @@ def run_lemma51(lines: list[str], trials: int, seed: int) -> int:
 
 def run_cterm(lines: list[str], trials: int, seed: int) -> int:
     """(c)-term raw sum == closed form d*c_(r-1) + d^2*(r-1), exact."""
+    from .secants import goettsche_c_full, goettsche_c_reduced
 
     def worked(lines):
         cv = ChernVector.make(4, [1, 4, 4])
@@ -224,6 +224,8 @@ def run_bterm_experiment(lines: list[str], trials: int, seed: int) -> int:
     The suite passes by reporting every case; agreement is recorded, not
     required.
     """
+    from .secants import goettsche_b_full, goettsche_b_reduced
+
     lines.append(f"cases: {trials} (fixed grid, chern data seed {seed})")
     matches = 0
     for idx, cv in enumerate(bterm_grid(seed, trials)):

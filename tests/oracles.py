@@ -11,11 +11,15 @@ pytest does not collect it.
 * ``OracleRing``: a factory for fiber-ring elements: scalars, the
   generators L, D_i, H_i and Delta_(i,j), and H_i^m, which the package
   writes only as integers or, in the closed form, as its normal form.
-  It builds ``OracleElement``s, which add negation, subtraction and
-  powers to the package's sums and products.
+  Each is homogeneous: scalars have degree 0, the generators degree 1
+  and H_i^m degree m.  It builds ``OracleElement``s, which add negation,
+  subtraction and powers to the package's sums and products.
 * ``integrate``: the pairing with the fundamental class.
 * ``coefficient``: one coefficient of a fiber-ring element, with the
   normal-form checks on its monomial.
+
+An element maps each D-subset mask S to the coefficient of
+L^(degree-|S|) * D_S, so both read the mask map and check the degree.
 """
 
 from multisecant.exprs import (
@@ -86,7 +90,8 @@ class OracleElement(FiberRingElement):
         return OracleElement(*super().__mul__(other)._fields())
 
     def __neg__(self) -> "OracleElement":
-        return OracleElement(self.ambient_dim, self.factors, {m: -c for m, c in self.terms.items()})
+        terms = {s: -c for s, c in self.terms.items()}
+        return OracleElement(self.ambient_dim, self.factors, self.degree, terms)
 
     def __sub__(self, other: FiberRingElement) -> "OracleElement":
         return self + (-other)
@@ -94,7 +99,7 @@ class OracleElement(FiberRingElement):
     def __pow__(self, exponent: int) -> "OracleElement":
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = OracleElement(self.ambient_dim, self.factors, {(0, 0): 1})
+        result = OracleElement(self.ambient_dim, self.factors, 0, {0: 1})
         for _ in range(exponent):
             result = result * self
         return result
@@ -104,10 +109,11 @@ def integrate(x: FiberRingElement) -> int:
     """Pairing with the fundamental class.
 
     Reads off the coefficient of the unique top monomial
-    L^(n-1) * D_1...D_f; every other normal-form monomial integrates to 0.
+    L^(n-1) * D_1...D_f, of degree n - 1 + f; every other normal-form
+    monomial integrates to 0, and so does a class of any other degree.
     """
     n, f = x.ambient_dim, x.factors
-    return x.terms.get((n - 1, (1 << f) - 1), 0)
+    return x.terms.get((1 << f) - 1, 0) if x.degree == n - 1 + f else 0
 
 
 def _check_index(i: int, factors: int):
@@ -128,28 +134,28 @@ class OracleRing:
         self.ambient_dim = ambient_dim
         self.factors = factors
 
-    def _element(self, terms: dict) -> OracleElement:
-        return OracleElement(self.ambient_dim, self.factors, terms)
+    def _element(self, degree: int, terms: dict) -> OracleElement:
+        return OracleElement(self.ambient_dim, self.factors, degree, terms)
 
     def scalar(self, c) -> FiberRingElement:
-        return self._element({(0, 0): c} if c != 0 else {})
+        return self._element(0, {0: c} if c != 0 else {})
 
-    def zero(self) -> FiberRingElement:
-        return self._element({})
+    def zero(self, degree: int) -> FiberRingElement:
+        return self._element(degree, {})
 
     def one(self) -> FiberRingElement:
-        return self._element({(0, 0): 1})
+        return self._element(0, {0: 1})
 
     def l_class(self) -> FiberRingElement:
         """L, the pullback of the hyperplane class of Q = P^(n-1)."""
         if self.ambient_dim == 1:
-            return self.zero()
-        return self._element({(1, 0): 1})
+            return self.zero(1)
+        return self._element(1, {0: 1})
 
     def exceptional(self, i: int) -> FiberRingElement:
         """D_i, the tautological class on the i-th factor."""
         _check_index(i, self.factors)
-        return self._element({(0, 1 << (i - 1)): 1})
+        return self._element(1, {1 << (i - 1): 1})
 
     def hyperplane_class(self, i: int) -> FiberRingElement:
         """H_i = D_i + L, the hyperplane of P^n through the i-th
@@ -167,10 +173,10 @@ class OracleRing:
         n = self.ambient_dim
         terms = {}
         if exponent - 1 < n:
-            terms[(exponent - 1, 1 << (i - 1))] = 1
+            terms[1 << (i - 1)] = 1
         if exponent < n:
-            terms[(exponent, 0)] = 1
-        return self._element(terms)
+            terms[0] = 1
+        return self._element(exponent, terms)
 
     def diagonal_class(self, i: int, j: int) -> FiberRingElement:
         """Delta_(i,j) = D_i + D_j + L, the locus where factors i and j agree."""
@@ -178,14 +184,14 @@ class OracleRing:
             raise IndexError(f"diagonal needs two distinct factors, got {i} == {j}")
         _check_index(i, self.factors)
         _check_index(j, self.factors)
-        terms = {(0, 1 << (i - 1)): 1, (0, 1 << (j - 1)): 1}
+        terms = {1 << (i - 1): 1, 1 << (j - 1): 1}
         if self.ambient_dim > 1:  # L = 0 on P^1
-            terms[(1, 0)] = 1
-        return self._element(terms)
+            terms[0] = 1
+        return self._element(1, terms)
 
     def top_monomial(self) -> FiberRingElement:
         """L^(n-1) * D_1 ... D_f, the monomial ``integrate`` sends to 1."""
-        return self._element({(self.ambient_dim - 1, (1 << self.factors) - 1): 1})
+        return self._element(self.ambient_dim - 1 + self.factors, {(1 << self.factors) - 1: 1})
 
 
 def coefficient(x: FiberRingElement, l_exponent: int, indices: tuple[int, ...]) -> int:
@@ -193,7 +199,9 @@ def coefficient(x: FiberRingElement, l_exponent: int, indices: tuple[int, ...]) 
     L^l_exponent * prod_{i in indices} D_i.
 
     A repeated index or an L-exponent outside 0..n-1 names no normal-form
-    monomial and raises ``IndexError``.
+    monomial and raises ``IndexError``.  The monomial has degree
+    l_exponent + len(indices); in a class of any other degree its
+    coefficient is 0.
     """
     if not 0 <= l_exponent < x.ambient_dim:
         raise IndexError(f"L-exponent {l_exponent} out of range 0..{x.ambient_dim - 1}")
@@ -203,4 +211,4 @@ def coefficient(x: FiberRingElement, l_exponent: int, indices: tuple[int, ...]) 
         if mask >> (i - 1) & 1:
             raise IndexError(f"factor index {i} repeated: D_{i}^2 is not in normal form")
         mask |= 1 << (i - 1)
-    return x.terms.get((l_exponent, mask), 0)
+    return x.terms.get(mask, 0) if x.degree == l_exponent + len(indices) else 0

@@ -364,7 +364,7 @@ class TestImportGraph:
         [
             ["secants", "--n", "4", "--j", "1", "O(2)+O(2)"],
             ["trisecant", "--n", "4", "O(2)+O(2)"],
-            ["verify", "--suite", "lemma51"],
+            ["verify", "--suite", "trisecant-identity", "--trials", "1"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -372,6 +372,21 @@ class TestImportGraph:
         loaded = _loaded(argv, tmp_path)
         assert "fractions" in loaded  # the probe sees what a command loads
         assert not loaded & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize(
+        "suite, unused",
+        [
+            ("lemma51", {"multisecant.fiberring", "multisecant.secants", "fractions"}),
+            ("cterm", {"multisecant.fiberring", "multisecant.combinat"}),
+            ("bterm-experiment", {"multisecant.fiberring", "multisecant.combinat"}),
+            ("trisecant-identity", {"multisecant.fiberring", "multisecant.combinat"}),
+            ("recursion-oracle", {"multisecant.secants", "multisecant.combinat"}),
+        ],
+    )
+    def test_verify_loads_only_the_suite_it_runs(self, suite, unused, tmp_path):
+        loaded = _loaded(["verify", "--suite", suite, "--trials", "1"], tmp_path)
+        assert "multisecant.verify" in loaded  # the probe ran the command
+        assert not loaded & unused
 
     def test_fiberring_loads_no_fractions(self, tmp_path):
         # the ring is integral: only secant_count_via_ring divides, and it

@@ -5,6 +5,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -126,13 +127,18 @@ class TestRelations:
             OracleRing(4, 2).one() * OracleRing(5, 2).one()
 
 
-def elements(ring, rng, terms=4, bound=5):
-    out = ring.zero()
+def elements(ring, rng, degree, terms=4, bound=5):
+    """A homogeneous element of ``degree``: up to ``terms`` monomials
+    L^(degree-|S|) * D_S built from the generators, with coefficients in
+    -bound..bound; a draw whose L-exponent falls outside 0..n-1 is skipped."""
+    out = ring.zero(degree)
     for _ in range(terms):
-        e = rng.randrange(ring.ambient_dim)
         mask_indices = [
             i + 1 for i in range(ring.factors) if rng.random() < 0.5
         ]
+        e = degree - len(mask_indices)
+        if not 0 <= e < ring.ambient_dim:
+            continue
         mono = ring.one()
         for _ in range(e):
             mono = mono * ring.l_class()
@@ -143,12 +149,19 @@ def elements(ring, rng, terms=4, bound=5):
 
 
 class TestRingAxioms:
+    """The axioms on homogeneous elements: b and c share a degree, so that
+    b + c is defined, and a sum of two classes of different degrees is
+    refused."""
+
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
     def test_commutative_associative(self, n, f, seed):
         rng = random.Random(seed)
         ring = OracleRing(n, f)
-        a, b, c = (elements(ring, rng) for _ in range(3))
+        top = n - 1 + f
+        a = elements(ring, rng, rng.randint(0, top))
+        b, c = (elements(ring, rng, degree) for degree in [rng.randint(0, top - a.degree)] * 2)
+        assert (a * b).degree == a.degree + b.degree
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -158,9 +171,16 @@ class TestRingAxioms:
     def test_integrate_is_linear(self, n, f, seed):
         rng = random.Random(seed)
         ring = OracleRing(n, f)
-        a, b = elements(ring, rng), elements(ring, rng)
+        degree = rng.choice([n - 1 + f, rng.randint(0, n - 1 + f)])
+        a, b = elements(ring, rng, degree), elements(ring, rng, degree)
         assert integrate(a + b) == integrate(a) + integrate(b)
         assert integrate(ring.scalar(7) * a) == 7 * integrate(a)
+
+    def test_sum_needs_equal_degrees(self):
+        ring = OracleRing(4, 2)
+        with pytest.raises(ValueError, match="degrees differ: 1 vs 2"):
+            ring.l_class() + ring.l_class() ** 2
+        assert (ring.zero(2) + ring.l_class() ** 2).degree == 2
 
     def test_integrate_normalization(self):
         ring = OracleRing(5, 3)
@@ -252,12 +272,12 @@ class TestRecursion:
             mapping = {old: new for old, new in zip(range(1, k + 1), perm)}
             mapping[k + 1] = k + 1
             permuted = {}
-            for (e, mask), c in base.terms.items():
+            for mask, c in base.terms.items():
                 new_mask = 0
                 for i in range(1, k + 2):
                     if mask >> (i - 1) & 1:
                         new_mask |= 1 << (mapping[i] - 1)
-                permuted[(e, new_mask)] = c
+                permuted[new_mask] = c
             assert permuted == dict(base.terms)
 
 
@@ -343,8 +363,8 @@ class TestAgainstGroebnerOracle:
 
         L, ds = symbols
         total = sympy.Integer(0)
-        for (e, mask), c in x.terms.items():
-            mono = L**e
+        for mask, c in x.terms.items():
+            mono = L ** (x.degree - mask.bit_count())
             for i, d in enumerate(ds):
                 if mask >> i & 1:
                     mono *= d
@@ -358,7 +378,7 @@ class TestAgainstGroebnerOracle:
 
         rng = random.Random(seed)
         ring = OracleRing(n, f)
-        a, b = elements(ring, rng, terms=3), elements(ring, rng, terms=3)
+        a, b = (elements(ring, rng, rng.randint(0, n - 1 + f), terms=3) for _ in range(2))
 
         L = sympy.Symbol("L")
         ds = sympy.symbols(f"D1:{f + 1}") if f > 1 else (sympy.Symbol("D1"),)
@@ -468,7 +488,8 @@ class TestPrunedCount:
             assert cls.terms
             assert all(type(v) is int for v in cls.terms.values())
             assert type(integrate(cls)) is int
-            (e, mask), value = next(iter(cls.terms.items()))
+            mask, value = next(iter(cls.terms.items()))
+            e = cls.degree - mask.bit_count()
             indices = tuple(i + 1 for i in range(k + 1) if mask >> i & 1)
             assert type(coefficient(cls, e, indices)) is int
             assert coefficient(cls, e, indices) == value
@@ -503,7 +524,7 @@ class TestFormKernel:
 
     @staticmethod
     def element(ring, x, d):
-        out = ring.zero()
+        out = ring.zero(d)
         for s, c in enumerate(x):
             if not c:
                 continue
@@ -538,7 +559,7 @@ class TestFormKernel:
             ring = OracleRing(n, t)
             half = 1 << (t - 1)
             bias = pack([1 << (width - 1)] * half, width)
-            n_t = ring.zero()
+            n_t = ring.zero(1)
             for j in range(1, t):
                 n_t = n_t - ring.diagonal_class(j, t)
             seen["n = 1, t > 1"] += n == 1 and t > 1
@@ -601,13 +622,13 @@ class TestFormKernel:
 
 
 class TestWidth:
-    """``_width`` against every field ``_stages`` holds.
+    """``_width`` against every field the recursion holds.
 
     A plain-list replay of the stages, with nothing truncated before the
     end as in the kernel, records each acc, each step's base and both
     halves, dead fields included.  Every field must satisfy
     |x| < 2^(W-2), the bound ``_width`` states, and the replay's last
-    class, with L^n = 0 applied, must equal ``_stages``.  The
+    class, with L^n = 0 applied, must equal ``recursion_top_chern``.  The
     replay also runs as the bound's majorant, on |c_i| with no sign
     cancelling, |x| and |U(v)[S]| <= |S| |v[S]| + sum_(j in S) |v[S - j]|,
     which must stay under the same 2^(W-2) whatever the data's signs.
@@ -635,8 +656,7 @@ class TestWidth:
                 largest = max(largest, *map(abs, base + p + q))
             acc = p + q
         d = (k + 1) * r
-        terms = {(d - s.bit_count(), s): v for s, v in enumerate(acc) if v}
-        return largest, {key: v for key, v in terms.items() if key[0] < n}
+        return largest, {s: v for s, v in enumerate(acc) if v and d - s.bit_count() < n}
 
     def check(self, cv, k):
         largest, terms = self.replay(cv, k)
@@ -644,7 +664,8 @@ class TestWidth:
         width = fiberring._width(cv.c, k)
         assert width % 8 == 0
         assert largest <= bound < 1 << (width - 2)
-        assert fiberring._stages(cv, k).terms == terms
+        rec = recursion_top_chern(cv, k)
+        assert (rec.degree, rec.terms) == ((k + 1) * cv.codim, terms)
         return bound, width
 
     def test_seeded_shapes(self):
@@ -678,9 +699,67 @@ class TestWidth:
         self.check(ChernVector.make(n, [1] + tail), k)
 
 
+class TestHomogeneousClasses:
+    """Both routes build a class of degree (k+1)r whose terms map each
+    D-mask S to the coefficient of L^((k+1)r-|S|) * D_S, and the recursion
+    reads its fields straight into that map through ``_terms``."""
+
+    @given(
+        st.integers(1, 10),
+        st.integers(0, 5),
+        st.lists(
+            st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_both_routes_equal_the_oracle_product(self, n, k, tail):
+        cv = ChernVector.make(n, [1] + tail)
+        r, d = cv.codim, (k + 1) * cv.codim
+        ring = OracleRing(n, k + 1)
+        product = ring.scalar(math.prod(top_chern_twisted(cv, -i) for i in range(k + 1)))
+        for i in range(1, k + 2):
+            product = product * ring.hyperplane_power(i, r)
+        rec, closed = recursion_top_chern(cv, k), closed_form_top_chern(cv, k)
+        assert rec == closed == product
+        for cls in (rec, closed):
+            assert cls.degree == d
+            assert all(0 <= s < 1 << (k + 1) and 0 <= d - s.bit_count() < n for s in cls.terms)
+            assert 0 not in cls.terms.values()
+
+    @pytest.mark.parametrize("width", range(8, 137, 8))
+    def test_fields_read_back_exactly(self, width):
+        # the largest fields _width allows, both signs, among small ones;
+        # with floor = 0 the dead mask 0 goes, and with -1 none does
+        edge = (1 << (width - 2)) - 1
+        x = [edge, -edge, 0, -1, 1, -edge, edge, 0]
+        biased = pack(x, width) + pack([1 << (width - 1)] * len(x), width)
+        raw = biased.to_bytes(width // 8 * len(x), "little")
+        nonzero = {s: v for s, v in enumerate(x) if v}
+        assert fiberring._terms(raw, width // 8, len(x), -1) == nonzero
+        del nonzero[0]
+        assert fiberring._terms(raw, width // 8, len(x), 0) == nonzero
+
+    def test_nothing_stays_allocated_after_a_call(self):
+        # the n24-r1-k12 oracle case: 8,192 fields of 64 bits.  A warm-up on
+        # a small ring first, so that only what this call leaves is counted;
+        # struct.unpack's format cache alone would keep about 300 KB here
+        cv = ChernVector.make(24, [1, -9])
+        recursion_top_chern(ChernVector.make(5, [1, 2]), 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert len(recursion_top_chern(cv, 12).terms) == 8192
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * 1024
+
+
 class TestLiveLevels:
     """``_live_stages``, the ring count's kernel, against the recursion's
-    dense ``_stages``.
+    packed ``recursion_top_chern``.
 
     The count runs the stages on L^excess and keeps, of a class of degree
     d over t bits, only the popcount levels s > d - n, each in ascending
@@ -700,18 +779,19 @@ class TestLiveLevels:
         for stage in range(k + 1):
             levels = fiberring._live_stages(cv, stage, excess)
             ring = OracleRing(n, stage + 1)
-            dense = fiberring._stages(cv, stage) * ring.l_class() ** excess
+            dense = recursion_top_chern(cv, stage) * ring.l_class() ** excess
             d = excess + (stage + 1) * r
+            assert dense.degree == d
             assert len(levels) == stage + 2
             for s, level in enumerate(levels):
                 masks = self.level_masks(stage + 1, s)
                 if s <= d - n:
                     # L^(d-s) = 0: a dead level, and no term of the product
                     assert level is None
-                    assert not any((d - s, m) in dense.terms for m in masks)
+                    assert not any(m in dense.terms for m in masks)
                     seen["dead level"] += 1
                     continue
-                assert level == [dense.terms.get((d - s, m), 0) for m in masks]
+                assert level == [dense.terms.get(m, 0) for m in masks]
                 seen["live slot"] += len(level)
                 seen["nonzero live slot"] += any(level)
         # the last stage ends at degree n + k: the top slot is all that lives
@@ -760,7 +840,7 @@ class TestOracleIndependence:
     ORACLE = (
         "recursion_top_chern",
         "secant_count_via_ring",
-        "_stages",
+        "_terms",
         "_width",
         "_masks",
         "_step",

@@ -56,8 +56,8 @@ RECORDS = [
         "Verdict(outcome='holds', hypotheses=(), citation='zak-linear-normality', notes=())",
     ),
     (
-        lambda: FiberRingElement(3, 2, {(0, 1): 1, (1, 3): Fraction(-1, 2)}),
-        "FiberRingElement(ambient_dim=3, factors=2, terms={(0, 1): 1, (1, 3): Fraction(-1, 2)})",
+        lambda: FiberRingElement(3, 2, 2, {1: 1, 3: Fraction(-1, 2)}),  # L D_1 - D_1 D_2 / 2
+        "FiberRingElement(ambient_dim=3, factors=2, degree=2, terms={1: 1, 3: Fraction(-1, 2)})",
     ),
 ]
 

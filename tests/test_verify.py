@@ -2,16 +2,18 @@
 
 ``PASSING`` pins each suite's full stdout at a small trial count, with exit
 code 0, so a change to a header or ``sample:`` line shows.  Each failure
-case breaks one side of a suite's identity inside ``multisecant.verify``
-and pins what ``verify`` prints through ``run_command``: the ``[FAIL]``
-lines with their replayable inputs, the failure count, the ``suite X: FAIL``
-line and exit code 3.  ``DIGESTS`` pins the sha256 of each suite's stdout
+case breaks one side of a suite's identity in the module that owns it,
+which the suite's runner imports from when it runs, and pins what
+``verify`` prints through ``run_command``: the ``[FAIL]`` lines with their
+replayable inputs, the failure count, the ``suite X: FAIL`` line and exit
+code 3.  ``DIGESTS`` pins the sha256 of each suite's stdout
 at its default trials on seeds 0 and 1.  The benchmark test keeps its
 suite list in step with the suite table.
 """
 
 import ast
 import hashlib
+import importlib
 import io
 import random
 from pathlib import Path
@@ -32,8 +34,16 @@ def _plus_one(real):
     return lambda cv: real(cv) + 1
 
 
-def _plus_ring_one(real):
-    return lambda cv, k: real(cv, k) + OracleRing(cv.ambient_dim, k + 1).one()
+def _plus_hyperplane_product(real):
+    # adds H_1^r ... H_(k+1)^r, a class of the result's degree (k+1)r
+    def broken(cv, k):
+        ring = OracleRing(cv.ambient_dim, k + 1)
+        extra = ring.one()
+        for i in range(1, k + 2):
+            extra = extra * ring.hyperplane_power(i, cv.codim)
+        return real(cv, k) + extra
+
+    return broken
 
 
 def _worked_instance_off(real):
@@ -55,8 +65,8 @@ def _off_at(cell):
 
 CASES = {
     "recursion-oracle": (
-        "recursion_top_chern",
-        _plus_ring_one,
+        "fiberring.recursion_top_chern",
+        _plus_hyperplane_product,
         ["--trials", "3", "--seed", "1"],
         [
             "suite: recursion-oracle",
@@ -70,7 +80,7 @@ CASES = {
         ],
     ),
     "trisecant-identity": (
-        "trisecant_double_sum",
+        "secants.trisecant_double_sum",
         _plus_one,
         ["--trials", "3", "--seed", "1"],
         [
@@ -85,7 +95,7 @@ CASES = {
         ],
     ),
     "cterm-worked-instance": (
-        "goettsche_c_full",
+        "secants.goettsche_c_full",
         _worked_instance_off,
         ["--trials", "3", "--seed", "1"],
         [
@@ -98,7 +108,7 @@ CASES = {
         ],
     ),
     "cterm": (
-        "goettsche_c_reduced",
+        "secants.goettsche_c_reduced",
         _plus_one,
         ["--trials", "2", "--seed", "1"],
         [
@@ -113,7 +123,7 @@ CASES = {
         ],
     ),
     "lemma51-rank": (
-        "koszul_rank_identity",
+        "combinat.koszul_rank_identity",
         _rank_identity_off,
         [],
         [
@@ -128,7 +138,7 @@ CASES = {
         ],
     ),
     "lemma51-unit": (
-        "wedge_resolution_sum_unit",
+        "combinat.wedge_resolution_sum_unit",
         _off_at((4, 5)),
         [],
         [
@@ -143,7 +153,7 @@ CASES = {
         ],
     ),
     "lemma51-shifted": (
-        "wedge_resolution_sum_shifted",
+        "combinat.wedge_resolution_sum_shifted",
         _off_at((30, 0)),
         [],
         [
@@ -162,9 +172,11 @@ CASES = {
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_broken_identity_fails_the_suite(case, monkeypatch):
-    name, breaker, options, expected = CASES[case]
+    target, breaker, options, expected = CASES[case]
     suite = expected[0].removeprefix("suite: ")
-    monkeypatch.setattr(verify, name, breaker(getattr(verify, name)))
+    module_name, name = target.split(".")
+    module = importlib.import_module(f"multisecant.{module_name}")
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
     out = io.StringIO()
     code = run_command(["verify", "--suite", suite, *options], out=out)
     assert out.getvalue() == "\n".join(expected) + "\n"
