@@ -160,7 +160,8 @@ class TestRingAxioms:
         ring = OracleRing(n, f)
         top = n - 1 + f
         a = elements(ring, rng, rng.randint(0, top))
-        b, c = (elements(ring, rng, degree) for degree in [rng.randint(0, top - a.degree)] * 2)
+        degree = rng.randint(0, top - a.degree)
+        b, c = elements(ring, rng, degree), elements(ring, rng, degree)
         assert (a * b).degree == a.degree + b.degree
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
