@@ -166,8 +166,8 @@ class FiberRingElement(Record):
 
 
 def _width(cs: tuple[int, ...], k: int) -> int:
-    """The field width W of ``recursion_top_chern`` on Chern data cs: every field the
-    kernel holds, dead ones included, has |x| < 2^(W-2).
+    """The field width W of ``recursion_top_chern`` on Chern data cs:
+    every field the kernel holds, dead ones included, has |x| < 2^(W-2).
 
     Let A bound the fields of a stage's acc (|c_r| at the start) and V
     those of its halves P and Q, which start at A and 0.  In a step over
