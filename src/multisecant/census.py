@@ -3,8 +3,8 @@
 A census enumerates CI(d_1..d_r) in P^n over rectangular parameter
 ranges and records, per row, the inputs, the twisted top Chern factors,
 the (j+1)-secant degree and the normality verdicts.  Every computed field
-is reproducible from the input fields alone, which is what
-``verify_rows`` checks when a written file is read back.
+is reproducible from the input fields alone, which is what both readers
+check when a written file is read back.
 
 Cost: for n > r nothing in the Chern data of E = O(d_1) + ... + O(d_r) is
 truncated, so c_r(E(-i)) = prod_k (d_k - i) and every value column
@@ -16,31 +16,29 @@ itself; jnormal reads it only through whether n reaches the least n at
 which both j-normality bounds hold.
 
 Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
-order, and both readers build rows positionally.  Every row holds the
-types census.schema.json gives its fields: n, r, j and each degree an
-``int`` (never a ``bool`` or ``float``), every other field a ``str``.
-``enumerate_rows`` and ``parse_csv`` build rows that way, and the JSON
-reader refuses a row any other way with ``ValueError``, so the writers and
-``verify_rows`` take the types as given.  The JSON reader also holds a
-row to the schema's values (n and r at least 1, j at least 0, a degree,
-rational strings, outcome words); the CSV reader does not, and
-``verify_rows`` reports a row whose inputs a sweep refuses as a problem.
+order: n, r, j and each degree an ``int``, every other field a ``str``.
+Every computed field is fixed by the inputs n, degrees and j, so both
+readers hold a file to one rule: each row, rebuilt by one sweep from the
+inputs it holds, renders to exactly the bytes it was read from, and the
+rebuilt rows cover every byte between the exact header and the exact
+tail.  A reader reads only a row's n, degrees and j (r is the number of
+degrees), compares the rest of its bytes with the rendering, and returns
+the rebuilt rows.  The first row that differs raises ``ValueError("row
+<i>: ...")``, and a row whose inputs a sweep refuses ``row <i>: inputs
+rejected: <reason>``.  As the writer refuses such sweeps, a text of more
+than ``MAX_ROWS`` rows is refused before any arithmetic and a row of more
+than ``MAX_CODIM`` degrees before its own.  ``verify_rows`` checks rows
+held in memory against the same sweep and reports what differs instead
+of raising.
 
-Per-row work is only n: n is the field a sweep varies fastest, and rows
-that differ only in n share everything else.  Both writers format each
-distinct rest of a row once and put n in front of it.  The JSON reader
-reads a document only in the bytes the JSON writer writes: it cuts the
-text at each row's n, decodes each distinct text around n once, and
-requires that it render back to the same bytes and that n's digits be
-those ``repr`` writes.  A reformatted document, or one with a duplicated
-key, raises ``ValueError``.  The decoded document is never held, but the
-text of each distinct row is, until the reader returns.  This pays where
-rows repeat, as they do across n; where none do (a sweep of one n), the
-JSON reader takes about 2.5x the time of one decode of the whole
-document and peaks at about three times its memory, and the CSV writer
-takes about 1.25x the time of one ``writerows``.  The CSV reader converts
-every row: a cache of its rows minus n saved a fifth of its time on the
-benchmark grid and cost 1.5x where no row repeats.
+Per-row work is only n: rows that differ only in n share everything
+else.  Both writers format each distinct rest of a row once and put n in
+front of it.  Both readers render a row's rest with the writers'
+fragments and, once its degrees and j have come before, hold the
+rendering for the rows after it, so where rows repeat, as they do across
+n, each distinct rest is rendered about twice.  Where none do (a sweep of
+one n), a reader does every row's arithmetic and holds no row's text,
+and the CSV writer takes about 1.25x the time of one ``writerows``.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
@@ -53,9 +51,7 @@ fragments.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
-import json
 import math
 import re
 import types
@@ -227,23 +223,31 @@ def enumerate_rows(
 _csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
+_CSV_HEAD = _csv_line(CSV_HEADER)
+
+
+def _csv_tail(rest: tuple) -> str:
+    """The CSV line of a row minus n, from the comma after n: the row
+    formatted behind an empty first field."""
+    return _csv_line(("", rest[0], ";".join(map(str, rest[1])), *rest[2:]))
+
+
 def render_csv(rows: Iterable[CensusRow]) -> str:
     """The CSV census, byte for byte as one ``csv.writer`` with
     ``lineterminator="\\n"`` would write it.  Each distinct rest of a row
-    is formatted once, behind an empty first field, and n is put in front."""
+    is formatted once and n is put in front."""
     tails = {}
-    parts = [_csv_line(CSV_HEADER)]
+    parts = [_CSV_HEAD]
     for row in rows:
         rest = row[1:]
         tail = tails.get(rest)
         if tail is None:
-            tail = tails[rest] = _csv_line(("", rest[0], ";".join(map(str, rest[1])), *rest[2:]))
+            tail = tails[rest] = _csv_tail(rest)
         parts += (str(row[0]), tail)
     return "".join(parts)
 
 
 _FORMAT = "multisecant-census/1"
-_CITATIONS = ["secant-product-formula", "jnormal-bundle-criterion", "zak-linear-normality"]
 
 # One row of the census document as json.dumps(indent=2, sort_keys=True)
 # lays it out (keys sorted at every level, the row an item of "rows"), cut
@@ -251,7 +255,7 @@ _CITATIONS = ["secant-product-formula", "jnormal-bundle-criterion", "zak-linear-
 # a row repeats across n, so render_json renders the two halves once per
 # distinct rest of the row and the document shares them by reference until
 # the final join.
-_ROW_BEFORE_N = """,
+_ROW_BEFORE_N = """
     {
       "citations": [
         "secant-product-formula",
@@ -291,9 +295,9 @@ def _json_list(items: str) -> str:
 
 
 def _halves(rest: tuple) -> tuple[str, str]:
-    """The text of a row around its n, from the comma before the row to the
-    comma after n and from there to the row's closing brace, for the row
-    minus n.
+    """The text of a row around its n, from the line break before the row
+    to the comma after n and from there to the row's closing brace, for the
+    row minus n.
 
     A ";"-separated string is encoded in one call: escaping never produces
     ";", so each ";" becomes the seam between two encoded items."""
@@ -325,156 +329,97 @@ def render_json(rows: Iterable[CensusRow]) -> str:
         shared = halves.get(rest)
         if shared is None:
             shared = halves[rest] = _halves(rest)
-        parts += (shared[0], repr(row[0]), shared[1])
+        parts += (",", shared[0], repr(row[0]), shared[1])
     if len(parts) == 1:
         parts.append(_EMPTY_TAIL)
     else:
-        parts[1] = parts[1][1:]  # the first row follows the opening bracket, not a comma
+        parts[1] = ""  # the first row follows the opening bracket, not a comma
         parts.append(_TAIL)
     return "".join(parts)
 
 
-def parse_csv(text: str) -> list[CensusRow]:
-    """The rows of a CSV census.  Text the csv module cannot split, such as
-    a lone CR in an unquoted field, raises ``ValueError`` like any other
-    malformed row."""
-    reader = csv.reader(io.StringIO(text))
-    make = CensusRow._make
-    try:
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected census header: {header!r}")
-        return [
-            make((int(n), int(r), tuple(map(int, degrees.split(";"))), int(j),
-                  degree, chern, twisted, secant, jnormal, zak, warn, cons))
-            for n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warn, cons in reader
-        ]
-    except csv.Error as exc:
-        raise ValueError(f"census CSV cannot be read: {exc}") from exc
+# n, degrees and j of a row where each format writes them: the first, third
+# and fourth CSV fields, and the items, j and n of a JSON row's "inputs"
+_csv_inputs = re.compile("(?P<n>[^,\n]*),[^,\n]*,(?P<degrees>[^,\n]*),(?P<j>[^,\n]*),").match
+_json_inputs = re.compile(
+    r'"degrees": \[(?P<degrees>[^]]*)\],\n {8}"j": (?P<j>[^,]*),\n {8}"n": (?P<n>[^,]*),'
+).search
 
 
-# census.schema.json's "rational" pattern, for one value or for a list
-# joined by ";" (an item holding ";" is refused before this runs).
-_RATIONAL = "-?[0-9]+(?:/[0-9]+)?"
-_rationals = re.compile(f"{_RATIONAL}(?:;{_RATIONAL})*").fullmatch
-_OUTCOMES = frozenset(("holds", "fails", "inapplicable"))
+def _regenerate(text, pos, count, inputs, sep, halves, between, end) -> list[CensusRow]:
+    """The rows of a census text from ``pos`` on, each rebuilt from its
+    inputs and compared in place with its rendering.
 
-
-def _json_row(obj: dict):
-    """``object_hook`` of the JSON reader's row decoder: a row object
-    becomes a ``CensusRow`` as soon as the decoder completes it.  Its
-    sections have no ``"inputs"`` key and pass through unchanged.
-
-    This is where a row is held to census.schema.json: every key present
-    and no other, n, r, j and each degree an int, r >= 1, j >= 0 and at
-    least one degree, the value fields and every chern and twisted item
-    rational strings (a ``re.fullmatch``, so no trailing newline), the
-    verdicts outcome words, the flags booleans and the citations the three
-    the writer writes.  n is decoded as 0 here; ``parse_json`` checks it.
-    A row that passes holds the types ``enumerate_rows`` gives, so
-    ``_halves`` can render it again.  One that does not raises
-    ``ValueError``, or, for a missing key or a wrong container, the
-    ``KeyError`` or ``TypeError`` that ``_json_rest`` turns into one.
+    ``count``, the number of rows the text can hold, is checked against
+    ``MAX_ROWS`` before any row is rebuilt, and a row's number of degrees
+    against ``MAX_CODIM`` before its own arithmetic.  ``inputs(text, pos)``
+    matches a row's n, degrees (joined by ``sep``) and j; one sweep rebuilds
+    the row, and ``halves`` renders its text around n, which is held for
+    the rows after it once its degrees and j repeat.  Rows are joined by
+    ``between`` and followed by ``end``, which closes the text, so the
+    rebuilt rows cover every byte from ``pos`` on.  The first row that
+    differs raises ``ValueError("row <i>: ...")``.
     """
-    if "inputs" not in obj:
-        return obj
-    inputs, values, verdicts, flags = obj["inputs"], obj["values"], obj["verdicts"], obj["flags"]
-    n, r, degrees, j, degree, cherns, twisteds, secant, jnormal, zak, warning, consistent = (
-        inputs["n"], inputs["r"], inputs["degrees"], inputs["j"],
-        values["degree"], values["chern"], values["twisted_top_cherns"], values["secant_degree"],
-        verdicts["jnormal"], verdicts["zak"], flags["integrality_warning"], flags["d_consistent"],
-    )
-    chern, twisted = ";".join(cherns), ";".join(twisteds)  # TypeError on an item that is not a string
-    if (
-        (len(obj), len(inputs), len(values), len(verdicts), len(flags)) != (5, 4, 4, 2, 2)
-        or not type(n) is type(r) is type(j) is int
-        or not type(degree) is type(secant) is type(jnormal) is type(zak) is str
-        or not type(degrees) is type(cherns) is type(twisteds) is list
-        or not type(warning) is type(consistent) is bool
-        or not {int}.issuperset(map(type, degrees))
-        or obj.get("citations") != _CITATIONS
-        # an item holding ";" would be written back as two, an empty list as [""]
-        or chern.count(";") != len(cherns) - 1
-        or twisted.count(";") != len(twisteds) - 1
-        or r < 1
-        or j < 0
-        or not degrees
-        or not (_rationals(degree) and _rationals(secant) and _rationals(chern) and _rationals(twisted))
-        or jnormal not in _OUTCOMES
-        or zak not in _OUTCOMES
-    ):
-        raise ValueError("census row does not match the schema")
-    return CensusRow(
-        n, r, tuple(degrees), j, degree, chern, twisted, secant, jnormal, zak,
-        "true" if warning else "false", "true" if consistent else "false",
-    )
+    if count > MAX_ROWS:
+        raise ValueError(f"census exceeds the limit of {MAX_ROWS} rows")
+    sweep, shared, rows = _Sweep(), {}, []
+    while True:
+        found = inputs(text, pos)
+        if found is None:
+            raise ValueError(f"row {len(rows)}: no inputs where the writer writes them")
+        n, degrees, j = found.group("n", "degrees", "j")
+        r = degrees.count(sep) + 1
+        if r > MAX_CODIM:
+            raise ValueError(f"row {len(rows)}: census codimension {r} exceeds the limit of {MAX_CODIM}")
+        try:
+            degrees, j = tuple(map(int, degrees.split(sep))), int(j)
+            repeats = (degrees, j) in sweep.values
+            row = sweep.row(int(n), degrees, j)
+        except (ValueError, MultisecantError) as exc:
+            raise ValueError(f"row {len(rows)}: inputs rejected: {exc}") from None
+        rest = row[1:]
+        pair = shared.get(rest)
+        if pair is None:
+            pair = halves(rest)
+            # a row minus n repeats only where its degrees and j do, so only
+            # their text is held: where no row repeats, none is
+            if repeats:
+                shared[rest] = pair
+        before, after = pair
+        digits = repr(row[0])
+        at = pos + len(before)
+        past = at + len(digits)
+        if not (text.startswith(before, pos) and text.startswith(digits, at)
+                and text.startswith(after, past)):
+            raise ValueError(f"row {len(rows)}: differs from the row its inputs rebuild")
+        rows.append(row)
+        pos = past + len(after)
+        if len(text) - pos == len(end) and text.endswith(end):
+            return rows
+        if not text.startswith(between, pos):
+            raise ValueError(f"row {len(rows)}: neither a row nor the end where the writer writes one")
+        pos += len(between)
 
 
-_N = '"n": '
-_ROW_END = "\n    }"
-_decode_row = json.JSONDecoder(object_hook=_json_row).decode
-
-
-def _json_rest(before: str, after: str) -> tuple:
-    """The row minus n whose text around n is ``before`` and ``after``,
-    the first character of ``before`` aside: the row is decoded with n = 0,
-    held to the schema by ``_json_row``, and must render back to the same
-    text."""
-    try:
-        row = _decode_row(before[1:] + "0" + after)
-    except (KeyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"census row does not match the schema: {exc!r}") from exc
-    if type(row) is not CensusRow:
-        raise ValueError("a census row is an object with an \"inputs\" key")
-    rest = row[1:]
-    shared = _halves(rest)
-    if shared[0][1:] != before[1:] or shared[1] != after:
-        raise ValueError("census row is not laid out as render_json writes it")
-    return rest
+def parse_csv(text: str) -> list[CensusRow]:
+    """The rows of a CSV census, read only in the bytes ``render_csv``
+    writes: each is rebuilt from its inputs (see ``_regenerate``)."""
+    if not text.startswith(_CSV_HEAD):
+        raise ValueError(f"unexpected census header: {text[:len(_CSV_HEAD)]!r}")
+    if text == _CSV_HEAD:
+        return []
+    return _regenerate(text, len(_CSV_HEAD), text.count("\n") - 1, _csv_inputs, ";",
+                       lambda rest: ("", _csv_tail(rest)), "", "")
 
 
 def parse_json(text: str) -> list[CensusRow]:
     """The rows of a census document, read only in the bytes ``render_json``
-    writes: anything else raises ``ValueError``, so a document that reads
-    back is one the writer writes back unchanged.
-
-    Each row's text is cut with ``str.find`` at its n, the comma after it
-    and the row's closing brace.  The text before n and the text after it
-    are decoded once for each distinct pair, and the rows share the decoded
-    fields; the pairs are held until the reader returns.  Of each row only
-    n is read on its own, and its digits must be those ``repr`` writes."""
+    writes: each is rebuilt from its inputs (see ``_regenerate``)."""
     if not text.startswith(_HEAD):
         raise ValueError(f"not a {_FORMAT} document as render_json writes it: {text[:len(_HEAD)]!r}")
     if text == _HEAD + _EMPTY_TAIL:
         return []
-    rows, rests = [], {}
-    make = CensusRow._make
-    pos = len(_HEAD) - 1  # each row's text starts one character early: at "[" or ","
-    while True:
-        seam = text.find(_N, pos)
-        stop = text.find(",", seam)
-        end = text.find(_ROW_END, stop)
-        if seam < 0 or stop < 0 or end < 0:
-            raise ValueError("census document ends inside a row")
-        seam += len(_N)
-        end += len(_ROW_END)
-        halves = text[pos:seam], text[stop:end]
-        rest = rests.get(halves)
-        if rest is None:
-            rest = rests[halves] = _json_rest(*halves)
-        digits = text[seam:stop]
-        n = int(digits)
-        if repr(n) != digits:
-            raise ValueError(f"census row's n is not written as render_json writes it: {digits!r}")
-        if n < 1:
-            raise ValueError(f"census row's n must be >= 1, got {n}")
-        rows.append(make((n, *rest)))
-        pos = end
-        if not text.startswith(",", pos):
-            break
-    if text[pos:] != _TAIL:
-        raise ValueError("census document does not end as render_json ends it")
-    return rows
+    return _regenerate(text, len(_HEAD), text.count('"n": '), _json_inputs, ",", _halves, ",", _TAIL)
 
 
 def verify_rows(rows: Iterable[CensusRow]) -> list[str]:

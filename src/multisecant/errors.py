@@ -43,8 +43,9 @@ class Record:
     It lives here, in the one module every command loads, because
     ``dataclasses`` costs a one-shot command more than its arithmetic;
     no module imports ``dataclasses``.  Census rows are not records:
-    ``census.CensusRow`` is a named tuple of the CSV columns, whose
-    equality ``verify_rows`` runs on every row at C speed.
+    ``census.CensusRow`` is a named tuple of the CSV columns, built and
+    compared at C speed; ``verify_rows`` compares rows held in memory,
+    and the readers compare a file's bytes with the rows they rebuild.
     A record is built from its fields in slot order, positionally only.
     Every record keeps these rules; none allows assignment or drops its
     hash.  A subclass defines its own ``__init__`` only to validate its

@@ -1,6 +1,7 @@
 """Census generation, serialization round-trips, schema validation."""
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -13,7 +14,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multisecant import census, cli
 from multisecant.bundles import complete_intersection_bundle
@@ -29,7 +30,7 @@ from multisecant.census import (
     render_json,
     verify_rows,
 )
-from multisecant.errors import HypothesisError
+from multisecant.errors import HypothesisError, MultisecantError
 from multisecant.normality import check_jnormal_bundle, jnormal_min_ambient_dim
 
 
@@ -89,8 +90,8 @@ def test_reingestion_recomputes_every_row(rows):
 
 def test_tampered_row_is_detected(rows):
     text = render_csv(rows).replace(",2,fails", ",3,fails", 1)
-    tampered = parse_csv(text)
-    assert verify_rows(tampered) != []
+    with pytest.raises(ValueError, match="^row 0: "):
+        parse_csv(text)
 
 
 def test_json_validates_against_published_schema(rows):
@@ -154,6 +155,56 @@ def test_codimension_cap_is_checked_at_the_boundary(cap, allowed, monkeypatch):
             enumerate_rows(2, (2, 3), (3, 5), 1)
 
 
+_FORMATS = {"csv": (render_csv, parse_csv), "json": (render_json, parse_json)}
+_READERS = pytest.mark.parametrize("render, parse", list(_FORMATS.values()), ids=list(_FORMATS))
+
+
+def _no_arithmetic(*args):
+    raise AssertionError("a refused census file reached the Chern arithmetic")
+
+
+@_READERS
+@pytest.mark.parametrize("cap, allowed", [(9, True), (8, False)])
+def test_readers_check_the_row_cap_at_the_boundary(render, parse, cap, allowed, monkeypatch):
+    rows = enumerate_rows(2, (2, 3), (3, 5), 1)
+    text = render(rows)
+    monkeypatch.setattr(census, "MAX_ROWS", cap)
+    if allowed:
+        assert parse(text) == rows
+    else:
+        monkeypatch.setattr(census, "complete_intersection_bundle", _no_arithmetic)
+        with pytest.raises(ValueError, match="^census exceeds the limit of 8 rows$"):
+            parse(text)
+
+
+@_READERS
+@pytest.mark.parametrize("cap, allowed", [(2, True), (1, False)])
+def test_readers_check_the_codimension_cap_at_the_boundary(render, parse, cap, allowed, monkeypatch):
+    rows = enumerate_rows(2, (2, 3), (3, 5), 1)
+    text = render(rows)
+    monkeypatch.setattr(census, "MAX_CODIM", cap)
+    if allowed:
+        assert parse(text) == rows
+    else:
+        monkeypatch.setattr(census, "complete_intersection_bundle", _no_arithmetic)
+        with pytest.raises(ValueError, match="^row 0: census codimension 2 exceeds the limit of 1$"):
+            parse(text)
+
+
+@_READERS
+def test_readers_refuse_a_file_past_either_cap_before_any_arithmetic(render, parse, monkeypatch):
+    # files the writer never writes: one row more than MAX_ROWS, and a row
+    # of codimension MAX_CODIM + 1 (rebuilding one costs O(r^2))
+    many = render([compute_row(5, (2, 3), 1)] * (census.MAX_ROWS + 1))
+    wide = render([compute_row(census.MAX_CODIM + 2, (1,) * (census.MAX_CODIM + 1), 1)])
+    monkeypatch.setattr(census, "complete_intersection_bundle", _no_arithmetic)
+    with pytest.raises(ValueError, match=f"^census exceeds the limit of {census.MAX_ROWS} rows$"):
+        parse(many)
+    cap = census.MAX_CODIM
+    with pytest.raises(ValueError, match=f"^row 0: census codimension {cap + 1} exceeds the limit of {cap}$"):
+        parse(wide)
+
+
 @pytest.mark.parametrize(
     "r, degree_range, ambient_range",
     [(3, (1, 100_000), (4, 4)), (1, (1, 10**4000), (2, 2)), (40, (0, 1), (41, 10**6))],
@@ -202,13 +253,18 @@ _texts = st.one_of(
 )
 
 
+# j stays small wherever a reader may see the row: a reader rebuilds each
+# row, which evaluates c_r(E(-i)) for i = 0..j
+_js = st.integers(-3, 6)
+
+
 def _rows_of(ints, degrees):
     return st.builds(
         CensusRow,
         n=ints,
         r=ints,
         degrees=degrees.map(tuple),
-        j=ints,
+        j=_js,
         degree=_texts,
         chern=_texts,
         twisted_top_cherns=_texts,
@@ -229,7 +285,7 @@ _schema_rows = st.builds(
     n=_ints,
     r=_ints,
     degrees=st.lists(_ints, min_size=1, max_size=4).map(tuple),
-    j=_ints,
+    j=_js,
     degree=_rationals,
     chern=st.lists(_rationals, min_size=1, max_size=4).map(";".join),
     twisted_top_cherns=st.lists(_rationals, min_size=1, max_size=4).map(";".join),
@@ -250,60 +306,54 @@ _census_rows = _rows_of(_ints, st.lists(_ints, max_size=4))
 _scalars = st.one_of(_ints, st.booleans(), st.none(), st.floats(allow_nan=False))
 _wide_degrees = st.lists(st.one_of(_scalars, st.lists(_scalars, max_size=2)), max_size=4)
 
+# rows that compute_row builds, and such rows with one field taken from another row
+_computed_rows = st.builds(
+    compute_row, st.integers(3, 40), st.lists(st.integers(-3, 6), min_size=1, max_size=2), st.integers(1, 4)
+)
+_edited_rows = st.builds(
+    lambda row, name, other: row._replace(**{name: getattr(other, name)}),
+    _computed_rows, st.sampled_from(CSV_HEADER), st.one_of(_valid_rows, _computed_rows),
+)
+
 
 def _schema_typed(row):
     return all(type(value) is int for value in (row.n, row.r, row.j, *row.degrees))
 
 
-_SCHEMA = json.loads(resources.files("multisecant").joinpath("schemas/census.schema.json").read_text())
-_INPUTS = _SCHEMA["properties"]["rows"]["items"]["properties"]["inputs"]["properties"]
-# JSON Schema's "$" ends the text, as re.fullmatch does; Python's "$" would
-# also match before a trailing newline
-_RATIONAL = _SCHEMA["$defs"]["rational"]["pattern"].removeprefix("^").removesuffix("$")
-_OUTCOME_WORDS = _SCHEMA["$defs"]["outcome"]["enum"]
+def _rebuilt(rows):
+    """Whether compute_row rebuilds every row, types included, from its inputs."""
+    try:
+        return all(_schema_typed(row) and compute_row(row.n, row.degrees, row.j) == row for row in rows)
+    except (ValueError, MultisecantError):
+        return False
 
 
-def _schema_valid(row):
-    """Whether a row holds census.schema.json's types and values."""
-    return (
-        _schema_typed(row)
-        and all(row[i] >= _INPUTS[name]["minimum"] for i, name in ((0, "n"), (1, "r"), (3, "j")))
-        and len(row.degrees) >= _INPUTS["degrees"]["minItems"]
-        and all(
-            re.fullmatch(_RATIONAL, text)
-            for text in (row.degree, row.secant_degree,
-                         *row.chern.split(";"), *row.twisted_top_cherns.split(";"))
-        )
-        and row.jnormal in _OUTCOME_WORDS
-        and row.zak in _OUTCOME_WORDS
-    )
+def _reads_back_exactly_the_rebuilt_rows(parse, text, rows):
+    if _rebuilt(rows):
+        assert parse(text) == rows
+    else:
+        with pytest.raises(ValueError):
+            parse(text)
 
 
-@given(st.lists(st.one_of(_census_rows, _valid_rows), max_size=4))
+@given(st.lists(st.one_of(_census_rows, _valid_rows, _computed_rows, _edited_rows), max_size=4))
 def test_json_writer_matches_json_dumps(rows):
     text = render_json(rows)
     assert text == _reference_json(rows)
-    if all(map(_schema_valid, rows)):
-        assert parse_json(text) == rows
-    else:
-        with pytest.raises(ValueError):
-            parse_json(text)
+    _reads_back_exactly_the_rebuilt_rows(parse_json, text, rows)
 
 
 _wide_rows = st.builds(
     lambda row, n, r, j, degrees: row._replace(n=n, r=r, j=j, degrees=tuple(degrees)),
-    _valid_rows, _scalars, _scalars, _scalars, _wide_degrees,
+    _valid_rows, _scalars, _scalars, st.one_of(_js, st.booleans(), st.none(), st.floats(allow_nan=False)),
+    _wide_degrees,
 )
 
 
-@given(st.lists(st.one_of(_valid_rows, _wide_rows), max_size=3))
+@given(st.lists(st.one_of(_valid_rows, _wide_rows, _computed_rows, _edited_rows), max_size=3))
 def test_json_reader_takes_exactly_the_rows_of_schema_type(rows):
-    text = _reference_json(rows)
-    if all(map(_schema_valid, rows)):
-        assert parse_json(text) == rows
-    else:
-        with pytest.raises(ValueError):
-            parse_json(text)
+    # the rows compute_row rebuilds, in json.dumps's layout, and nothing else
+    _reads_back_exactly_the_rebuilt_rows(parse_json, _reference_json(rows), rows)
 
 
 def _reference_csv(rows):
@@ -315,7 +365,8 @@ def _reference_csv(rows):
     return buf.getvalue()
 
 
-@given(st.lists(_census_rows, max_size=4), st.lists(_schema_rows, max_size=4))
+@given(st.lists(_census_rows, max_size=4),
+       st.lists(st.one_of(_schema_rows, _computed_rows, _edited_rows), max_size=4))
 def test_csv_writer_matches_csv_module(rows, schema_rows):
     # texts with commas, quotes, CR and LF are quoted as the csv module
     # quotes them, one row at a time, also among rows that differ from the
@@ -325,7 +376,8 @@ def test_csv_writer_matches_csv_module(rows, schema_rows):
     assert render_csv(mixed) == _reference_csv(mixed)
     text = render_csv(schema_rows)
     assert text == _reference_csv(schema_rows)
-    assert parse_csv(text) == schema_rows
+    _reads_back_exactly_the_rebuilt_rows(parse_csv, render_csv(rows), rows)
+    _reads_back_exactly_the_rebuilt_rows(parse_csv, text, schema_rows)
 
 
 def test_json_writer_on_no_rows_and_on_the_grid():
@@ -395,6 +447,16 @@ def test_json_reader_holds_one_copy_of_distinct_rows():
     parsed, peak = _traced_peak(lambda: parse_json(text))
     assert parsed == rows
     assert peak < 2.5 * len(text)
+
+
+def test_json_reader_holds_no_row_text_where_no_row_repeats():
+    # the rows are about 0.7x the text; a reader that kept the rendered text
+    # of every distinct row peaks at about 2.2x
+    rows = enumerate_rows(2, (1, 60), (3, 3), 6)
+    text = render_json(rows)
+    parsed, peak = _traced_peak(lambda: parse_json(text))
+    assert parsed == rows
+    assert peak < 1.25 * len(text)
 
 
 def _one_row_text():
@@ -488,11 +550,11 @@ def test_malformed_json_raises(doc):
 
 
 def test_json_nested_past_the_recursion_limit_raises():
-    # the nesting sits inside one row of the writer's layout, so the row's
-    # text reaches the decoder
+    # the nesting sits inside one row of the writer's layout, so the reader
+    # reaches the row's inputs
     deep = _one_row_text().replace('"degrees": [', '"degrees": ' + "[" * 100_000, 1)
     assert deep.count("[") > 100_000
-    with pytest.raises(ValueError, match="RecursionError"):
+    with pytest.raises(ValueError):
         parse_json(deep)
 
 
@@ -520,6 +582,8 @@ _EDITED = {
     "n-as-a-float": lambda: _one_row_text().replace('"n": 5,', '"n": 5.0,'),
     "n-with-a-plus": lambda: _one_row_text().replace('"n": 5,', '"n": +5,'),
     "n-with-a-space": lambda: _one_row_text().replace('"n": 5,', '"n": 5 ,'),
+    # int() reads a fullwidth 5 as 5, but the writer writes n in ASCII digits
+    "n-in-another-script": lambda: _one_row_text().replace('"n": 5,', '"n": \uff15,'),
     "r-twice": lambda: _one_row_text().replace('"r": 2\n', '"r": 2, "r": 3\n'),
     "inputs-reordered": _inputs_reordered,
     "a-space-inside-a-row": lambda: _one_row_text().replace('"j": 1,', '"j":  1,'),
@@ -528,6 +592,8 @@ _EDITED = {
     "last-row-truncated": lambda: _rows_text()[: _rows_text().rindex('"r": ')],
     "last-row-without-its-brace": lambda: _rows_text()[: -len("}" + _FOOTER)],
     "footer-missing": lambda: _rows_text()[: -len(_FOOTER)],
+    "rows-separated-by-a-space": lambda: _rows_text().replace("},\n    {", "} \n    {", 1),
+    "footer-edited-in-place": lambda: _rows_text()[:-1] + " ",
     "final-newline-missing": lambda: _rows_text()[:-1],
     "bytes-after-the-footer": lambda: _rows_text() + "\n",
     "a-second-document": lambda: _rows_text() * 2,
@@ -565,17 +631,19 @@ def test_text_the_writer_does_not_write_raises(edit):
 
 
 def test_csv_with_a_lone_cr_raises_value_error():
-    # render_csv leaves a lone CR unquoted; the csv module cannot split it back
+    # render_csv leaves a lone CR unquoted, and no row a sweep builds holds one
     row = compute_row(5, (2, 3), 1)._replace(degree="6\r")
-    with pytest.raises(ValueError, match="census CSV cannot be read"):
+    with pytest.raises(ValueError):
         parse_csv(render_csv([row]))
 
 
 def test_verify_rows_reports_a_csv_row_with_n_zero():
-    text = render_csv([compute_row(5, (2, 3), 1)]).replace("\n5,", "\n0,")
-    (row,) = parse_csv(text)
-    assert row.n == 0
-    assert verify_rows([row]) == ["row 0: inputs rejected: ambient dimension must be >= 1"]
+    row = compute_row(5, (2, 3), 1)
+    text = render_csv([row]).replace("\n5,", "\n0,")
+    problem = "row 0: inputs rejected: ambient dimension must be >= 1"
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        parse_csv(text)
+    assert verify_rows([row._replace(n=0)]) == [problem]
 
 
 @pytest.fixture(scope="module")
@@ -604,7 +672,7 @@ def test_grid_reads_back(grid_text):
 
 @pytest.mark.parametrize("text", ["", "\n"])
 def test_csv_without_a_header_raises(text):
-    with pytest.raises(ValueError, match=r"unexpected census header: \(\)"):
+    with pytest.raises(ValueError, match=re.escape(f"unexpected census header: {text!r}")):
         parse_csv(text)
 
 
@@ -669,6 +737,46 @@ def test_sweep_rows_equal_fresh_rows(r, degree_range, ambient_range, j):
         assert row.twisted_top_cherns == ";".join(map(str, factors))
         bundle = complete_intersection_bundle(row.n, row.degrees)
         assert row.jnormal == check_jnormal_bundle(bundle, j).outcome
+
+
+# characters an edit puts in: digits and signs, every separator either
+# format writes, and letters of the outcome words and flags
+_EDIT_CHARS = '0123456789+-/.,;: \n\r"[]{}eflnorstux'
+
+
+@functools.cache
+def _sweep_file(seed, fmt):
+    return _FORMATS[fmt][0](enumerate_rows(*_seeded_sweep(seed)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(12)), st.sampled_from(sorted(_FORMATS)), st.data())
+def test_one_character_edit_raises_or_reads_back_as_edited(seed, fmt, data):
+    render, parse = _FORMATS[fmt]
+    text = _sweep_file(seed, fmt)
+    # between the header (the CSV's first line, the document up to "rows": [)
+    # and the tail; half of the edits where a row or its n starts
+    if fmt == "csv":
+        head, end = text.index("\n") + 1, len(text)
+        marked = [at.end() for at in re.finditer("\n", text)]
+    else:
+        head, end = text.index("[") + 1, len(text) - len(_FOOTER)
+        marked = [at.end() for at in re.finditer('"n": ', text)]
+        marked += [at.start() for at in re.finditer(",\n    {", text)]
+    op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    at = data.draw(st.one_of(st.integers(head, end - (op != "insert")),
+                             st.sampled_from([at for at in marked if head <= at < end])))
+    chars = st.sampled_from(_EDIT_CHARS)
+    if text[at:at + 1].isdigit():
+        # the same digit in fullwidth form, which int() reads as the ASCII one
+        chars = st.one_of(chars, st.just(chr(0xFF10 + int(text[at]))))
+    char = "" if op == "delete" else data.draw(chars)
+    edited = text[:at] + char + text[at + (op != "insert"):]
+    try:
+        rows = parse(edited)
+    except ValueError:
+        return
+    assert verify_rows(rows) == [] and render(rows) == edited
 
 
 @pytest.mark.parametrize(

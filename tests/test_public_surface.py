@@ -46,11 +46,11 @@ TRACED_ONLY = {
     "compute_row": "tracer wraps it as census.compute_row; only tests call it",
     "format_rational": "tracer wraps it; every command prints with str (item 13)",
     "goettsche_a_derived": "tracer wraps it as secants.goettsche; only tests call it (item 13)",
-    "parse_csv": "the benchmark's re-ingest op reads census files with it",
-    "parse_json": "the benchmark's re-ingest op reads census files with it",
+    "parse_csv": "the re-ingest op reads census files with it, rebuilding each row (item 15)",
+    "parse_json": "the re-ingest op reads census files with it, rebuilding each row (item 15)",
     "secant_count_via_ring": "the oracle workload's ring count",
     "segre_series": "tracer wraps it as bundles.segre; moves to tests/oracles.py (item 13)",
-    "verify_rows": "the benchmark's re-ingest op checks census files with it",
+    "verify_rows": "the re-ingest op checks the rows a reader returns with it; it checks rows held in memory",
 }
 
 ALLOWED_METHODS = {
