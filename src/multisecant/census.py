@@ -26,19 +26,19 @@ degrees), compares the rest of its bytes with the rendering, and returns
 the rebuilt rows.  The first row that differs raises ``ValueError("row
 <i>: ...")``, and a row whose inputs a sweep refuses ``row <i>: inputs
 rejected: <reason>``.  As the writer refuses such sweeps, a text of more
-than ``MAX_ROWS`` rows is refused before any arithmetic and a row of more
-than ``MAX_CODIM`` degrees before its own.  ``verify_rows`` checks rows
-held in memory against the same sweep and reports what differs instead
-of raising.
+than ``MAX_ROWS`` rows is refused before any arithmetic, a row of more
+than ``MAX_CODIM`` degrees before its own, and a row of j above 1,000
+before its own, as an input rejected.  ``verify_rows`` checks rows held
+in memory against the same sweep and reports what differs instead of
+raising.
 
-Per-row work is only n: rows that differ only in n share everything
-else.  Both writers format each distinct rest of a row once and put n in
-front of it.  Both readers render a row's rest with the writers'
-fragments and, once its degrees and j have come before, hold the
-rendering for the rows after it, so where rows repeat, as they do across
-n, each distinct rest is rendered about twice.  Where none do (a sweep of
-one n), a reader does every row's arithmetic and holds no row's text,
-and the CSV writer takes about 1.25x the time of one ``writerows``.
+Per-row work: rows that differ only in n share everything else.  Both
+writers format each distinct rest of a row once and put n in front of
+it, so their work per row is only n; the CSV writer takes about 1.25x
+the time of one ``writerows`` where no row repeats.  A reader renders
+every row it reads with the writers' fragments and holds no row's text;
+its sweep shares the arithmetic wherever rows repeat, as they do across
+n.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
@@ -96,6 +96,13 @@ MAX_ROWS = 100_000
 # (Python 3.11, one core, enumerate_rows and the render in one process).
 MAX_CODIM = 20
 
+# Largest j a sweep takes, the CLI's --j limit (tests/test_census.py checks
+# that the two agree).  A row holds the j+1 factors c_r(E(-i)) and their
+# product over (j+1)!, and both readers rebuild every row they read:
+# compute_row(5, (2, 3), j) takes 4 ms at j = 10^3 and 0.47 s at 10^5
+# (Python 3.11, one core), and its cost grows with j.
+_MAX_J = 1_000
+
 CensusRow = namedtuple("CensusRow", CSV_HEADER)
 CensusRow.__doc__ = """One complete intersection with its computed invariants.
 
@@ -122,7 +129,9 @@ class _Sweep:
     exact only for n > r, so every part is stored only after the verdicts
     are made.  A row with n <= r or j < 1 never takes its jnormal outcome
     from the cache: it raises in the full check, as ``compute_row`` always
-    has, and stores nothing.
+    has, and stores nothing.  A row of j above ``_MAX_J`` raises
+    ``HypothesisError`` before any arithmetic, for the writer, the readers
+    and ``verify_rows`` alike.
     """
 
     def __init__(self):
@@ -137,6 +146,8 @@ class _Sweep:
         miss = values is None
         bundle = None
         if miss:
+            if j > _MAX_J:
+                raise HypothesisError(f"census j {j} exceeds the limit of {_MAX_J}")
             bundle = complete_intersection_bundle(n, degrees)
             report = multisecant_report(bundle, j)
             total_degree = math.prod(degrees)
@@ -188,7 +199,8 @@ def enumerate_rows(
     ranges, ascending n first, degree tuples lexicographic within.
 
     A sweep of more than ``MAX_ROWS`` rows, or of codimension above
-    ``MAX_CODIM``, raises ``HypothesisError`` before any row is built.
+    ``MAX_CODIM``, raises ``HypothesisError`` before any row is built, and
+    one of j above 1,000 at its first row, before any arithmetic.
     """
     lo_d, hi_d = degree_range
     lo_n, hi_n = ambient_range
@@ -338,12 +350,14 @@ def render_json(rows: Iterable[CensusRow]) -> str:
     return "".join(parts)
 
 
-# n, degrees and j of a row where each format writes them: the first, third
-# and fourth CSV fields, and the items, j and n of a JSON row's "inputs"
+# n, degrees and j of a row where each format writes them, matched from the
+# row's first byte: the first, third and fourth CSV fields, and the items, j
+# and n of a JSON row's "inputs", behind the writer's text with either flag
 _csv_inputs = re.compile("(?P<n>[^,\n]*),[^,\n]*,(?P<degrees>[^,\n]*),(?P<j>[^,\n]*),").match
 _json_inputs = re.compile(
-    r'"degrees": \[(?P<degrees>[^]]*)\],\n {8}"j": (?P<j>[^,]*),\n {8}"n": (?P<n>[^,]*),'
-).search
+    re.escape(_ROW_BEFORE_N) % ("(?:true|false)", "(?:true|false)", r"\[(?P<degrees>[^]]*)\]", "(?P<j>[^,]*)")
+    + "(?P<n>[^,]*),"
+).match
 
 
 def _regenerate(text, pos, count, inputs, sep, halves, between, end) -> list[CensusRow]:
@@ -353,16 +367,16 @@ def _regenerate(text, pos, count, inputs, sep, halves, between, end) -> list[Cen
     ``count``, the number of rows the text can hold, is checked against
     ``MAX_ROWS`` before any row is rebuilt, and a row's number of degrees
     against ``MAX_CODIM`` before its own arithmetic.  ``inputs(text, pos)``
-    matches a row's n, degrees (joined by ``sep``) and j; one sweep rebuilds
-    the row, and ``halves`` renders its text around n, which is held for
-    the rows after it once its degrees and j repeat.  Rows are joined by
-    ``between`` and followed by ``end``, which closes the text, so the
-    rebuilt rows cover every byte from ``pos`` on.  The first row that
-    differs raises ``ValueError("row <i>: ...")``.
+    matches a row's n, degrees (joined by ``sep``) and j from the row's
+    first byte; one sweep rebuilds the row, and ``halves`` renders its
+    text around n.  Rows are joined by ``between`` and followed by
+    ``end``, which closes the text, so the rebuilt rows cover every byte
+    from ``pos`` on.  The first row that differs raises ``ValueError("row
+    <i>: ...")``.
     """
     if count > MAX_ROWS:
         raise ValueError(f"census exceeds the limit of {MAX_ROWS} rows")
-    sweep, shared, rows = _Sweep(), {}, []
+    sweep, rows = _Sweep(), []
     while True:
         found = inputs(text, pos)
         if found is None:
@@ -372,20 +386,10 @@ def _regenerate(text, pos, count, inputs, sep, halves, between, end) -> list[Cen
         if r > MAX_CODIM:
             raise ValueError(f"row {len(rows)}: census codimension {r} exceeds the limit of {MAX_CODIM}")
         try:
-            degrees, j = tuple(map(int, degrees.split(sep))), int(j)
-            repeats = (degrees, j) in sweep.values
-            row = sweep.row(int(n), degrees, j)
+            row = sweep.row(int(n), tuple(map(int, degrees.split(sep))), int(j))
         except (ValueError, MultisecantError) as exc:
             raise ValueError(f"row {len(rows)}: inputs rejected: {exc}") from None
-        rest = row[1:]
-        pair = shared.get(rest)
-        if pair is None:
-            pair = halves(rest)
-            # a row minus n repeats only where its degrees and j do, so only
-            # their text is held: where no row repeats, none is
-            if repeats:
-                shared[rest] = pair
-        before, after = pair
+        before, after = halves(row[1:])
         digits = repr(row[0])
         at = pos + len(before)
         past = at + len(digits)
