@@ -17,28 +17,32 @@ which both j-normality bounds hold.
 
 Rows: a ``CensusRow`` is a named tuple of the CSV columns in column
 order: n, r, j and each degree an ``int``, every other field a ``str``.
-Every computed field is fixed by the inputs n, degrees and j, so both
-readers hold a file to one rule: each row, rebuilt by one sweep from the
-inputs it holds, renders to exactly the bytes it was read from, and the
-rebuilt rows cover every byte between the exact header and the exact
-tail.  A reader reads only a row's n, degrees and j (r is the number of
-degrees), compares the rest of its bytes with the rendering, and returns
-the rebuilt rows.  The first row that differs raises ``ValueError("row
-<i>: ...")``, and a row whose inputs a sweep refuses ``row <i>: inputs
-rejected: <reason>``.  As the writer refuses such sweeps, a text of more
-than ``MAX_ROWS`` rows is refused before any arithmetic, a row of more
-than ``MAX_CODIM`` degrees before its own, and a row of j above 1,000
-before its own, as an input rejected.  ``verify_rows`` checks rows held
-in memory against the same sweep and reports what differs instead of
-raising.
+Each format is one ``_Layout`` record: its head, the text after the head
+when there are no rows, the separator between rows, the tail, a row's
+text around its n, where a row's inputs sit, and a mark that each row
+holds once.  One ``_render`` writes either format from its record, and
+one ``_read`` reads either back.  Every computed field is fixed by the inputs n,
+degrees and j, so the reader holds a file to one rule: each row, rebuilt
+by one sweep from the inputs it holds, renders to exactly the bytes it
+was read from, and the rebuilt rows cover every byte between the exact
+head and the exact tail.  It reads only a row's n, degrees and j (r is
+the number of degrees), compares the row's rendering with the text in
+place, and returns the rebuilt rows.  The first row that differs raises
+``ValueError("row <i>: ...")``, and a row whose inputs a sweep refuses
+``row <i>: inputs rejected: <reason>``.  As the writer refuses such
+sweeps, a text that holds the mark more than ``MAX_ROWS`` times is
+refused before any arithmetic, a row of more than ``MAX_CODIM`` degrees
+before its own, and a row of j above 1,000 before its own, as an input
+rejected.  ``verify_rows`` checks rows held in memory against the same
+sweep and reports what differs instead of raising.
 
-Per-row work: rows that differ only in n share everything else.  Both
-writers format each distinct rest of a row once and put n in front of
-it, so their work per row is only n; the CSV writer takes about 1.25x
-the time of one ``writerows`` where no row repeats.  A reader renders
-every row it reads with the writers' fragments and holds no row's text;
-its sweep shares the arithmetic wherever rows repeat, as they do across
-n.
+Per-row work: rows that differ only in n share everything else.
+``_render`` renders each distinct rest of a row once and puts n between
+its two halves, so its work per row is only n; the CSV writer takes about
+1.2-1.3x the time of one ``writerows`` where no row repeats.  ``_read``
+renders every row it reads with the same halves, compares it with one
+``str.startswith`` and keeps no row's text; its sweep shares the
+arithmetic wherever rows repeat, as they do across n.
 
 Determinism: rows are emitted in ascending n, then lexicographic degree
 order; rationals serialize as "p/q" (bare integers when integral) and
@@ -126,8 +130,9 @@ class _Sweep:
     hold from ``jnormal_min_ambient_dim(r, j)`` on, so ``jnormals`` maps
     (r, j, that flag, whether n reaches that least n) to the jnormal
     outcome, and a verdict miss costs one zak check.  The value part is
-    exact only for n > r, so every part is stored only after the verdicts
-    are made.  A row with n <= r or j < 1 never takes its jnormal outcome
+    exact only for n > r, and a row with n > r and j > 0 cannot raise in
+    its verdicts, so the value part is stored where it is built for those
+    rows only.  A row with n <= r or j < 1 never takes its jnormal outcome
     from the cache: it raises in the full check, as ``compute_row`` always
     has, and stores nothing.  A row of j above ``_MAX_J`` raises
     ``HypothesisError`` before any arithmetic, for the writer, the readers
@@ -143,9 +148,8 @@ class _Sweep:
         degrees = tuple(degrees)
         r = len(degrees)
         values = self.values.get((degrees, j))
-        miss = values is None
         bundle = None
-        if miss:
+        if values is None:
             if j > _MAX_J:
                 raise HypothesisError(f"census j {j} exceeds the limit of {_MAX_J}")
             bundle = complete_intersection_bundle(n, degrees)
@@ -163,6 +167,8 @@ class _Sweep:
                 report.factors,
                 0 in report.factors[1:],
             )
+            if n > r and j > 0:
+                self.values[degrees, j] = values
         degree, chern, twisted, secant, warning, consistent, factors, vanishes = values
         verdicts = self.verdicts.get((n, r, j, vanishes))
         if verdicts is None:
@@ -176,8 +182,6 @@ class _Sweep:
             verdicts = (jnormal, check_linear_normality_zak(n, r).outcome)
             self.jnormals[key] = jnormal
             self.verdicts[n, r, j, vanishes] = verdicts
-        if miss:
-            self.values[degrees, j] = values
         jnormal, zak = verdicts
         return CensusRow._make(
             (n, r, degrees, j, degree, chern, twisted, secant, jnormal, zak, warning, consistent)
@@ -230,41 +234,30 @@ def enumerate_rows(
     return [row(n, degrees, j) for n in range(lo_n, hi_n + 1) for degrees in tuples]
 
 
+# How one format lays out a census text, for _render and _read: ``head``
+# opens the text, ``empty`` follows it when there are no rows, ``sep`` goes
+# between two rows and ``tail`` after the last.  ``halves(rest)`` is a
+# row's text before and after its n, for the row minus n.  ``inputs(text,
+# pos)`` matches a row's n, degrees (joined by ``degree_sep``) and j from
+# the row's first byte.  Each row holds ``mark`` once, so its count bounds
+# the rows a text can hold.
+_Layout = namedtuple("_Layout", "head empty sep tail halves inputs degree_sep mark")
+
 # writerow returns what its file's write returns, so a writer whose write
 # is str hands back the line it formats
 _csv_line = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
-_CSV_HEAD = _csv_line(CSV_HEADER)
+def _csv_halves(rest: tuple) -> tuple[str, str]:
+    """Nothing before n, and the CSV line of a row from the comma after n:
+    the row minus n formatted behind an empty first field."""
+    return "", _csv_line(("", rest[0], ";".join(map(str, rest[1])), *rest[2:]))
 
-
-def _csv_tail(rest: tuple) -> str:
-    """The CSV line of a row minus n, from the comma after n: the row
-    formatted behind an empty first field."""
-    return _csv_line(("", rest[0], ";".join(map(str, rest[1])), *rest[2:]))
-
-
-def render_csv(rows: Iterable[CensusRow]) -> str:
-    """The CSV census, byte for byte as one ``csv.writer`` with
-    ``lineterminator="\\n"`` would write it.  Each distinct rest of a row
-    is formatted once and n is put in front."""
-    tails = {}
-    parts = [_CSV_HEAD]
-    for row in rows:
-        rest = row[1:]
-        tail = tails.get(rest)
-        if tail is None:
-            tail = tails[rest] = _csv_tail(rest)
-        parts += (str(row[0]), tail)
-    return "".join(parts)
-
-
-_FORMAT = "multisecant-census/1"
 
 # One row of the census document as json.dumps(indent=2, sort_keys=True)
 # lays it out (keys sorted at every level, the row an item of "rows"), cut
 # at its n, the one field that a sweep varies fastest.  Everything else in
-# a row repeats across n, so render_json renders the two halves once per
+# a row repeats across n, so _render renders the two halves once per
 # distinct rest of the row and the document shares them by reference until
 # the final join.
 _ROW_BEFORE_N = """
@@ -306,7 +299,7 @@ def _json_list(items: str) -> str:
     return "[\n          " + items + "\n        ]" if items else "[]"
 
 
-def _halves(rest: tuple) -> tuple[str, str]:
+def _json_halves(rest: tuple) -> tuple[str, str]:
     """The text of a row around its n, from the line break before the row
     to the comma after n and from there to the row's closing brace, for the
     row minus n.
@@ -325,105 +318,109 @@ def _halves(rest: tuple) -> tuple[str, str]:
     )
 
 
-_HEAD = '{\n  "format": "' + _FORMAT + '",\n  "rows": ['
-_TAIL = "\n  ]\n}\n"
-_EMPTY_TAIL = "]\n}\n"
+_HEAD = '{\n  "format": "multisecant-census/1",\n  "rows": ['
+
+# The CSV inputs are the first, third and fourth fields; the JSON inputs
+# are the items, j and n of a row's "inputs", behind the writer's text
+# with either flag.
+_CSV = _Layout(
+    _csv_line(CSV_HEADER), "", "", "", _csv_halves,
+    re.compile("(?P<n>[^,\n]*),[^,\n]*,(?P<degrees>[^,\n]*),(?P<j>[^,\n]*),").match, ";", "\n",
+)
+_JSON = _Layout(
+    _HEAD, "]\n}\n", ",", "\n  ]\n}\n", _json_halves,
+    re.compile(
+        re.escape(_ROW_BEFORE_N) % ("(?:true|false)", "(?:true|false)", r"\[(?P<degrees>[^]]*)\]", "(?P<j>[^,]*)")
+        + "(?P<n>[^,]*),"
+    ).match,
+    ",", '"n": ',
+)
+
+
+def _render(layout: _Layout, rows: Iterable[CensusRow]) -> str:
+    """The census text of ``rows`` in ``layout``, joined once from one list
+    of fragments: each distinct rest of a row is rendered once, and of each
+    row only its n is its own."""
+    sep, halves, shared = layout.sep, layout.halves, {}
+    parts = []
+    for row in rows:
+        rest = row[1:]
+        pair = shared.get(rest)
+        if pair is None:
+            pair = shared[rest] = halves(rest)
+        parts += (sep, pair[0], repr(row[0]), pair[1])
+    if not parts:
+        return layout.head + layout.empty
+    parts[0] = layout.head  # the first row follows the head, not a separator
+    parts.append(layout.tail)
+    return "".join(parts)
+
+
+def _read(layout: _Layout, text: str) -> list[CensusRow]:
+    """The rows of a census text in ``layout``, each rebuilt from its inputs
+    by one sweep and compared in place with its rendering.
+
+    The exact head, the text of no rows, and ``MAX_ROWS`` against the count
+    of ``layout.mark`` are checked before any row is rebuilt, and a row's
+    number of degrees against ``MAX_CODIM`` before its own arithmetic.  The
+    rebuilt rows, their separators and the tail must cover every byte after
+    the head.  The first row that differs raises ``ValueError("row <i>:
+    ...")``.
+    """
+    head = layout.head
+    if not text.startswith(head):
+        raise ValueError(f"unexpected census header: {text[:len(head)]!r}")
+    if text == head + layout.empty:
+        return []
+    if text.count(layout.mark, len(head)) > MAX_ROWS:
+        raise ValueError(f"census exceeds the limit of {MAX_ROWS} rows")
+    sweep, rows, pos, end = _Sweep(), [], len(head), len(text) - len(layout.tail)
+    while True:
+        found = layout.inputs(text, pos)
+        if found is None:
+            raise ValueError(f"row {len(rows)}: no inputs where the writer writes them")
+        n, degrees, j = found.group("n", "degrees", "j")
+        r = degrees.count(layout.degree_sep) + 1
+        if r > MAX_CODIM:
+            raise ValueError(f"row {len(rows)}: census codimension {r} exceeds the limit of {MAX_CODIM}")
+        try:
+            row = sweep.row(int(n), tuple(map(int, degrees.split(layout.degree_sep))), int(j))
+        except (ValueError, MultisecantError) as exc:
+            raise ValueError(f"row {len(rows)}: inputs rejected: {exc}") from None
+        rendered = repr(row[0]).join(layout.halves(row[1:]))  # before + n + after
+        if not text.startswith(rendered, pos):
+            raise ValueError(f"row {len(rows)}: differs from the row its inputs rebuild")
+        rows.append(row)
+        pos += len(rendered)
+        if pos == end and text.endswith(layout.tail):
+            return rows
+        if not text.startswith(layout.sep, pos):
+            raise ValueError(f"row {len(rows)}: neither a row nor the end where the writer writes one")
+        pos += len(layout.sep)
+
+
+def render_csv(rows: Iterable[CensusRow]) -> str:
+    """The CSV census, byte for byte as one ``csv.writer`` with
+    ``lineterminator="\\n"`` would write it."""
+    return _render(_CSV, rows)
 
 
 def render_json(rows: Iterable[CensusRow]) -> str:
     """The census document, byte for byte as ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` would write it.  The text is joined once from
-    one list of fragments; of each row only its n is its own."""
-    halves = {}
-    parts = [_HEAD]
-    for row in rows:
-        rest = row[1:]
-        shared = halves.get(rest)
-        if shared is None:
-            shared = halves[rest] = _halves(rest)
-        parts += (",", shared[0], repr(row[0]), shared[1])
-    if len(parts) == 1:
-        parts.append(_EMPTY_TAIL)
-    else:
-        parts[1] = ""  # the first row follows the opening bracket, not a comma
-        parts.append(_TAIL)
-    return "".join(parts)
-
-
-# n, degrees and j of a row where each format writes them, matched from the
-# row's first byte: the first, third and fourth CSV fields, and the items, j
-# and n of a JSON row's "inputs", behind the writer's text with either flag
-_csv_inputs = re.compile("(?P<n>[^,\n]*),[^,\n]*,(?P<degrees>[^,\n]*),(?P<j>[^,\n]*),").match
-_json_inputs = re.compile(
-    re.escape(_ROW_BEFORE_N) % ("(?:true|false)", "(?:true|false)", r"\[(?P<degrees>[^]]*)\]", "(?P<j>[^,]*)")
-    + "(?P<n>[^,]*),"
-).match
-
-
-def _regenerate(text, pos, count, inputs, sep, halves, between, end) -> list[CensusRow]:
-    """The rows of a census text from ``pos`` on, each rebuilt from its
-    inputs and compared in place with its rendering.
-
-    ``count``, the number of rows the text can hold, is checked against
-    ``MAX_ROWS`` before any row is rebuilt, and a row's number of degrees
-    against ``MAX_CODIM`` before its own arithmetic.  ``inputs(text, pos)``
-    matches a row's n, degrees (joined by ``sep``) and j from the row's
-    first byte; one sweep rebuilds the row, and ``halves`` renders its
-    text around n.  Rows are joined by ``between`` and followed by
-    ``end``, which closes the text, so the rebuilt rows cover every byte
-    from ``pos`` on.  The first row that differs raises ``ValueError("row
-    <i>: ...")``.
-    """
-    if count > MAX_ROWS:
-        raise ValueError(f"census exceeds the limit of {MAX_ROWS} rows")
-    sweep, rows = _Sweep(), []
-    while True:
-        found = inputs(text, pos)
-        if found is None:
-            raise ValueError(f"row {len(rows)}: no inputs where the writer writes them")
-        n, degrees, j = found.group("n", "degrees", "j")
-        r = degrees.count(sep) + 1
-        if r > MAX_CODIM:
-            raise ValueError(f"row {len(rows)}: census codimension {r} exceeds the limit of {MAX_CODIM}")
-        try:
-            row = sweep.row(int(n), tuple(map(int, degrees.split(sep))), int(j))
-        except (ValueError, MultisecantError) as exc:
-            raise ValueError(f"row {len(rows)}: inputs rejected: {exc}") from None
-        before, after = halves(row[1:])
-        digits = repr(row[0])
-        at = pos + len(before)
-        past = at + len(digits)
-        if not (text.startswith(before, pos) and text.startswith(digits, at)
-                and text.startswith(after, past)):
-            raise ValueError(f"row {len(rows)}: differs from the row its inputs rebuild")
-        rows.append(row)
-        pos = past + len(after)
-        if len(text) - pos == len(end) and text.endswith(end):
-            return rows
-        if not text.startswith(between, pos):
-            raise ValueError(f"row {len(rows)}: neither a row nor the end where the writer writes one")
-        pos += len(between)
+    sort_keys=True) + "\\n"`` would write it."""
+    return _render(_JSON, rows)
 
 
 def parse_csv(text: str) -> list[CensusRow]:
     """The rows of a CSV census, read only in the bytes ``render_csv``
-    writes: each is rebuilt from its inputs (see ``_regenerate``)."""
-    if not text.startswith(_CSV_HEAD):
-        raise ValueError(f"unexpected census header: {text[:len(_CSV_HEAD)]!r}")
-    if text == _CSV_HEAD:
-        return []
-    return _regenerate(text, len(_CSV_HEAD), text.count("\n") - 1, _csv_inputs, ";",
-                       lambda rest: ("", _csv_tail(rest)), "", "")
+    writes: each is rebuilt from its inputs (see ``_read``)."""
+    return _read(_CSV, text)
 
 
 def parse_json(text: str) -> list[CensusRow]:
     """The rows of a census document, read only in the bytes ``render_json``
-    writes: each is rebuilt from its inputs (see ``_regenerate``)."""
-    if not text.startswith(_HEAD):
-        raise ValueError(f"not a {_FORMAT} document as render_json writes it: {text[:len(_HEAD)]!r}")
-    if text == _HEAD + _EMPTY_TAIL:
-        return []
-    return _regenerate(text, len(_HEAD), text.count('"n": '), _json_inputs, ",", _halves, ",", _TAIL)
+    writes: each is rebuilt from its inputs (see ``_read``)."""
+    return _read(_JSON, text)
 
 
 def verify_rows(rows: Iterable[CensusRow]) -> list[str]:

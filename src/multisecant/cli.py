@@ -65,10 +65,13 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        raise ValueError(f"expected 'lo..hi', got {text!r}")
-    lo, hi = text.split("..", 1)
-    return int(lo), int(hi)
+    # argparse prints an ArgumentTypeError's own message, but replaces a
+    # ValueError's with one that names this function
+    try:
+        lo, hi = text.split("..", 1)
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo..hi', got {text!r}") from None
 
 
 def _elaborated(args):

@@ -49,12 +49,8 @@ class Record:
     A record is built from its fields in slot order, positionally only.
     Every record keeps these rules; none allows assignment or drops its
     hash.  A subclass defines its own ``__init__`` only to validate its
-    fields (``ChernVector``, ``TruncatedClassPoly``).  ``Hypothesis`` and
-    ``Verdict`` use this generic loop too: a census sweep builds a zak
-    verdict only when its verdict cache misses, 396 times on the
-    benchmark's long-polynomial sweep, 116 on its grid and 74 on its
-    codimension-3 sweep, and a jnormal verdict only when its jnormal cache
-    misses, 4 times on each.
+    fields (``ChernVector``, ``TruncatedClassPoly``); ``Hypothesis`` and
+    ``Verdict`` use the generic loop.
     """
 
     __slots__ = ()
