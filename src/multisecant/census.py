@@ -21,11 +21,11 @@ Each format is one ``_Layout`` record: its head, the text after the head
 when there are no rows, the separator between rows, the tail, a row's
 text around its n, where a row's inputs sit, and a mark that each row
 holds once.  One ``_render`` writes either format from its record, and
-one ``_read`` reads either back.  Every computed field is fixed by the inputs n,
-degrees and j, so the reader holds a file to one rule: each row, rebuilt
-by one sweep from the inputs it holds, renders to exactly the bytes it
-was read from, and the rebuilt rows cover every byte between the exact
-head and the exact tail.  It reads only a row's n, degrees and j (r is
+one ``_read`` reads either back.  Every computed field is fixed by the
+inputs n, degrees and j, so the reader holds a file to one rule: each
+row, rebuilt by one sweep from the inputs it holds, renders to exactly
+the bytes it was read from, and the rebuilt rows cover every byte
+between the exact head and the exact tail.  It reads only a row's n, degrees and j (r is
 the number of degrees), compares the row's rendering with the text in
 place, and returns the rebuilt rows.  The first row that differs raises
 ``ValueError("row <i>: ...")``, and a row whose inputs a sweep refuses

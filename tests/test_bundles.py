@@ -103,6 +103,10 @@ class TestConstructors:
         assert tangent_bundle(2).total_chern == TruncatedClassPoly.from_coeffs(2, [1, 3, 3])
         assert tangent_bundle(1).total_chern == TruncatedClassPoly.from_coeffs(1, [1, 2])
 
+    def test_tangent_bundle_needs_a_positive_ambient_dimension(self):
+        with pytest.raises(ValueError, match="^ambient dimension must be >= 1$"):
+            tangent_bundle(0)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_tangent_top_coefficient(self, n):
         assert tangent_bundle(n).total_chern.coeffs[n] == n + 1
@@ -269,6 +273,14 @@ class TestChernVector:
     def test_leading_one_required(self):
         with pytest.raises(ValueError):
             ChernVector.make(4, [2, 4, 4])
+
+    def test_rank_zero_is_refused(self):
+        with pytest.raises(ValueError, match="^codimension must be >= 1$"):
+            ChernVector.make(4, [1])
+
+    def test_c_must_hold_one_entry_per_degree(self):
+        with pytest.raises(ValueError, match=r"^need c_0\.\.c_2, got 2 entries$"):
+            ChernVector(4, 2, (1, 4), 4, True)
 
     def test_as_chern_vector_roundtrip(self):
         e = complete_intersection_bundle(5, [2, 3])

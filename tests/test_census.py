@@ -127,6 +127,11 @@ def test_bad_ranges():
         enumerate_rows(2, (3, 2), (3, 5), 1)
 
 
+def test_codimension_below_one_is_refused():
+    with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+        enumerate_rows(0, (1, 2), (3, 4), 1)
+
+
 @pytest.mark.parametrize("j", [0, -1])
 def test_j_below_one_is_refused_up_front(j):
     # a census row needs j >= 1; the check comes before the row count, so
@@ -726,6 +731,14 @@ def test_grid_reads_back(grid_text):
 def test_csv_without_a_header_raises(text):
     with pytest.raises(ValueError, match=re.escape(f"unexpected census header: {text!r}")):
         parse_csv(text)
+
+
+def test_json_without_its_head_raises_as_csv_does():
+    # both readers refuse a text that does not open with their head alike
+    text = json.dumps(_rows_doc([]))
+    head = text[: len(census._HEAD)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unexpected census header: {head!r}')}$"):
+        parse_json(text)
 
 
 _ROW_KEYS = ["rows", "inputs", "values", "verdicts", "flags", "n", "r", "degrees", "j",

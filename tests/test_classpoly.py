@@ -63,6 +63,12 @@ class TestExamples:
         with pytest.raises(AmbientMismatchError):
             poly(2, 1) * poly(3, 1)
 
+    def test_constructor_checks_its_fields(self):
+        with pytest.raises(ValueError, match="^ambient dimension must be >= 0, got -1$"):
+            TruncatedClassPoly(-1, (1,))
+        with pytest.raises(ValueError, match="^need exactly 3 coefficients, got 2$"):
+            TruncatedClassPoly(2, (1, 0))
+
     def test_no_float_ever_appears(self):
         # integral data stays int: == alone would accept 4.0 for 4
         segre = segre_series(ChernVector.make(6, [1, 4, 4]))

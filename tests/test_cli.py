@@ -6,12 +6,15 @@ after verifying any changed values independently.
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from multisecant import cli
@@ -62,6 +65,15 @@ class TestGoldenOutputs:
             "normality_json_n169_p18_j2.txt",
             ["normality", "--n", "18", "--j", "2", "N{r=2,c=[1,6,9]}", "--format", "json"],
         )
+
+    def test_normality_json_on_split_data_carries_its_note(self):
+        # the bundle criterion reports the untwisted factor as a note
+        code, text = run(["normality", "--n", "10", "--j", "1", "O(2)+O(2)", "--format", "json"])
+        assert code == 0
+        record = json.loads(text)
+        assert record["notes"] == ["c_r(E) = 4 (nonzero; the untwisted factor of the secant product)"]
+        schema = json.loads(resources.files("multisecant").joinpath("schemas/verdict.schema.json").read_text())
+        jsonschema.validate(record, schema)
 
     def test_segre(self):
         check_golden(
@@ -144,6 +156,30 @@ class TestExitCodes:
              "--j", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_census_codimension_zero_is_computational(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, text = run(
+            ["census", "--r", "0", "--degrees", "1..2", "--n", "3..4",
+             "--j", "1", "--out", str(out)]
+        )
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: r must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["5", "1..x"], ids=["no-dots", "end-not-an-integer"])
+    def test_census_range_error_names_the_expected_form(self, value, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, text = run(
+            ["census", "--r", "2", "--degrees", value, "--n", "3..4",
+             "--j", "1", "--out", str(out)]
+        )
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"multisecant census: error: argument --degrees: expected 'lo..hi', got {value!r}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -7,6 +7,7 @@ from multisecant import combinat
 from multisecant.combinat import (
     binomial,
     koszul_rank_identity,
+    wedge_resolution_sum,
     wedge_resolution_sum_shifted,
     wedge_resolution_sum_unit,
 )
@@ -125,6 +126,10 @@ class TestKoszulRankIdentity:
 
 
 class TestAlternatingSums:
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError, match="^wedge_resolution_sum: arguments must be >= 0$"):
+            wedge_resolution_sum(-1, 0, 0)
+
     def test_unit_worked_cases(self):
         assert wedge_resolution_sum_unit(2, 1) == -1
         assert wedge_resolution_sum_unit(17, 0) == 1

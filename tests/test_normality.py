@@ -140,6 +140,12 @@ class TestNumerology:
         assert jnormal_min_ambient_dim(2, 1) == 10
         assert jnormal_min_ambient_dim(3, 1) == 14
 
+    def test_parameters_below_one_are_refused(self):
+        with pytest.raises(HypothesisError, match="^j must be >= 1, got 0$"):
+            ran_min_ambient_dim(0)
+        with pytest.raises(HypothesisError, match="^parameters must be positive: r=0, j=1$"):
+            jnormal_min_ambient_dim(0, 1)
+
     @given(st.integers(2, 10))
     def test_codim_two_recovers_ran_bound(self, j):
         assert jnormal_min_ambient_dim(2, j) == ran_min_ambient_dim(j)
