@@ -218,13 +218,15 @@ def enumerate_rows(
         raise HypothesisError(
             f"ambient range must start above the codimension, got n={lo_n} <= r={r}"
         )
-    # #n * C(D+r-1, r) rows for D degrees; the binomial grows one exact
-    # factor at a time, so a huge range stops as soon as it passes the cap
+    # #n * C(D+r-1, r) rows for D degrees, as C(D+r-1, m) with m = min(r, D-1):
+    # the binomial grows one exact factor of at least 2 at a time, so a huge
+    # range stops within 17 factors of passing the cap
     rows = hi_n - lo_n + 1
-    for k in range(1, r + 1):
+    m = min(r, hi_d - lo_d)
+    for k in range(1, m + 1):
         if rows > MAX_ROWS:
             break
-        rows = rows * (hi_d - lo_d + k) // k
+        rows = rows * (hi_d - lo_d + r - m + k) // k
     if rows > MAX_ROWS:
         raise HypothesisError(f"census exceeds the limit of {MAX_ROWS} rows")
     if r > MAX_CODIM:

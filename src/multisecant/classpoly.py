@@ -43,8 +43,7 @@ class TruncatedClassPoly(Record):
             raise ValueError(f"ambient dimension must be >= 0, got {ambient_dim}")
         if len(coeffs) != ambient_dim + 1:
             raise ValueError(f"need exactly {ambient_dim + 1} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(ambient_dim, coeffs)
 
     # -- construction -------------------------------------------------
 
@@ -62,20 +61,14 @@ class TruncatedClassPoly(Record):
     # -- ring operations ----------------------------------------------
 
     def __mul__(self, other: "TruncatedClassPoly") -> "TruncatedClassPoly":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatchError(
-                f"ambient dimensions differ: P^{self.ambient_dim} vs P^{other.ambient_dim}"
-            )
         n = self.ambient_dim
+        if n != other.ambient_dim:
+            raise AmbientMismatchError(f"ambient dimensions differ: P^{n} vs P^{other.ambient_dim}")
         out = [0] * (n + 1)
+        # convolution truncated at degree n
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            # convolution truncated at degree n
-            for j in range(0, n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
+            for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                out[i + j] += a * b
         return TruncatedClassPoly(n, tuple(out))
 
     def inverse(self) -> "TruncatedClassPoly":
@@ -83,41 +76,26 @@ class TruncatedClassPoly(Record):
 
         Requires a unit of Z[H]/H^(n+1), i.e. constant term a_0 = +-1;
         computed by the power-series recursion
-        b_k = -a_0 * sum_{i>=1} a_i b_{k-i}, as 1/a_0 = a_0.
+        b_k = -a_0 * sum_{i=1..k} a_i b_{k-i}, as 1/a_0 = a_0.
         """
         a = self.coeffs
         a0 = a[0]
         if a0 not in (1, -1):
             raise NonUnitError(f"cannot invert: constant term {a0} is not +-1")
-        n = self.ambient_dim
-        b = [a0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                if a[i] != 0:
-                    acc += a[i] * b[k - i]
-            b[k] = -a0 * acc
-        return TruncatedClassPoly(n, tuple(b))
+        b = [a0]
+        for k in range(1, self.ambient_dim + 1):
+            b.append(-a0 * sum(a[i] * b[k - i] for i in range(1, k + 1)))
+        return TruncatedClassPoly(self.ambient_dim, tuple(b))
 
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = []
+        # each nonzero term as its sign's separator and then |c|; of the
+        # first separator only a minus sign is kept
+        out = ""
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append((str(c), c < 0))
-            else:
+            if c != 0:
                 mono = "H" if k == 1 else f"H^{k}"
-                mag = abs(c)
-                body = mono if mag == 1 else f"{mag}*{mono}"
-                terms.append((body, c < 0))
-        if not terms:
-            return "0"
-        first_body, first_neg = terms[0]
-        out = ("-" if first_neg and not first_body.startswith("-") else "") + first_body
-        for body, neg in terms[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
-
+                body = str(abs(c)) if k == 0 else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+                out += (" - " if c < 0 else " + ") + body
+        return ("-" if out[1] == "-" else "") + out[3:] if out else "0"

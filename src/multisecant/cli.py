@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import MultisecantError, ParseError
@@ -64,14 +65,31 @@ class _CliParser(argparse.ArgumentParser):
         raise _CliExit(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    # argparse prints an ArgumentTypeError's own message, but replaces a
-    # ValueError's with one that names this function
+def _shown(text: str) -> str:
+    # a refused value as argparse quotes it, cut to a short prefix
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
+def _int(text: str, refusal: str = "") -> int:
+    """``int(text)``, the type of every integer flag and of both ends of a range.
+
+    argparse would echo a refused value in full, so the refusal names the
+    digit count of an ASCII literal past the interpreter's 4,300-digit
+    limit, and quotes at most a prefix of any other value.
+    """
     try:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'lo..hi', got {text!r}") from None
+        literal = re.fullmatch(r"\s*[+-]?([0-9]+)\s*", text)
+        if literal:
+            refusal = f"integer too long ({len(literal[1])} digits)"
+        raise argparse.ArgumentTypeError(refusal or f"invalid int value: {_shown(text)}") from None
+
+
+def _parse_range(text: str) -> tuple[int, int]:
+    lo, hi = text.split("..", 1) if ".." in text else ("", "")
+    refusal = f"expected 'lo..hi', got {_shown(text)}"
+    return _int(lo, refusal), _int(hi, refusal)
 
 
 def _elaborated(args):
@@ -246,36 +264,36 @@ def build_parser() -> argparse.ArgumentParser:
     def add_expr_command(name: str, run, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        p.add_argument("--n", type=int, required=True, help="ambient dimension")
+        p.add_argument("--n", type=_int, required=True, help="ambient dimension")
         p.add_argument("expr", help="bundle expression, e.g. 'O(2)+O(2)' or 'N{r=2,c=[1,4,4]}'")
         return p
 
     add_expr_command("chern", _cmd_chern, "print the total Chern class")
 
     p = add_expr_command("secants", _cmd_secants, "degree of the (j+1)-secant locus")
-    p.add_argument("--j", type=int, required=True, help="count (j+1)-secant lines")
+    p.add_argument("--j", type=_int, required=True, help="count (j+1)-secant lines")
 
     add_expr_command("trisecant", _cmd_trisecant, "trisecant count, closed form and double sum")
 
     p = add_expr_command("normality", _cmd_normality, "normality-criterion verdict")
-    p.add_argument("--j", type=int, required=True, help="normality degree j")
+    p.add_argument("--j", type=_int, required=True, help="normality degree j")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add_expr_command("segre", _cmd_segre, "a single Segre coefficient")
-    p.add_argument("--k", type=int, required=True, help="Segre index k")
+    p.add_argument("--k", type=_int, required=True, help="Segre index k")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.set_defaults(run=_cmd_verify)
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
 
     p = sub.add_parser("census", help="enumerate complete intersections to a file")
     p.set_defaults(run=_cmd_census)
-    p.add_argument("--r", type=int, required=True, help="codimension")
+    p.add_argument("--r", type=_int, required=True, help="codimension")
     p.add_argument("--degrees", type=_parse_range, required=True, metavar="LO..HI")
     p.add_argument("--n", type=_parse_range, required=True, metavar="LO..HI")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
