@@ -87,6 +87,7 @@ def _int(text: str, refusal: str = "") -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    # a text without ".." is refused as an end that is not an integer is
     lo, hi = text.split("..", 1) if ".." in text else ("", "")
     refusal = f"expected 'lo..hi', got {_shown(text)}"
     return _int(lo, refusal), _int(hi, refusal)

@@ -51,7 +51,7 @@ class Record:
     hash.  A subclass defines its own ``__init__`` only to validate its
     fields, and then calls this one (``TruncatedClassPoly``);
     ``ChernVector`` sets its fields itself, because verify builds about
-    30,000 of them a round and this loop costs 0.5 µs more per build.
+    30,000 of them a round and this loop is the slower build.
     ``Hypothesis`` and ``Verdict`` use the generic loop.
     """
 

@@ -251,6 +251,15 @@ def test_huge_sweeps_are_refused_from_the_count(r, degree_range, ambient_range):
         enumerate_rows(r, degree_range, ambient_range, 1)
 
 
+def test_one_degree_value_counts_rows_without_a_factor_per_codimension():
+    # with a single degree value the count is C(r, 0) = 1, reached in no
+    # factors, so a huge r meets the codimension cap at once
+    start = time.perf_counter()
+    with pytest.raises(HypothesisError, match="^census codimension 10000000 exceeds the limit of 20$"):
+        enumerate_rows(10**7, (1, 1), (10**7 + 1, 10**7 + 1), 1)
+    assert time.perf_counter() - start < 0.05
+
+
 # -- the JSON writer against json.dumps ---------------------------------------
 
 

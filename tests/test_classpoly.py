@@ -1,7 +1,9 @@
 """Truncated H-polynomials: product, inverse, truncation, printing."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -145,3 +147,26 @@ def test_str_rendering():
     assert str(poly(2)) == "0"
     assert str(poly(2, 0, Fraction(1, 2))) == "1/2*H"
     assert str(poly(2, -2, 0, 3)) == "-2 + 3*H^2"
+
+
+def _load_checks():
+    # the benchmark's independent model, loaded from its file and never edited
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CHECKS = _load_checks()
+_printed_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-20, 20),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(_printed_coeffs, min_size=n + 1, max_size=n + 1)))
+def test_str_matches_the_benchmark_printer(cs):
+    # the benchmark holds every chern op's "total chern:" line to poly_str
+    assert str(TruncatedClassPoly(len(cs) - 1, tuple(cs))) == _CHECKS.poly_str(cs)

@@ -181,6 +181,47 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    _NINES = "9" * 5000
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["chern", "--n", _NINES, "T"], "--n"),
+            (["census", "--r", _NINES, "--degrees", "1..2", "--n", "3..4", "--j", "1",
+              "--out", "c.csv"], "--r"),
+            (["verify", "--suite", "lemma51", "--trials", _NINES], "--trials"),
+            (["census", "--r", "2", "--degrees", f"{_NINES}..2", "--n", "3..4", "--j", "1",
+              "--out", "c.csv"], "--degrees"),
+            (["census", "--r", "2", "--degrees", f"1..{_NINES}", "--n", "3..4", "--j", "1",
+              "--out", "c.csv"], "--degrees"),
+        ],
+        ids=["n", "r", "trials", "degrees-lo", "degrees-hi"],
+    )
+    def test_oversize_integer_flag_names_its_digit_count(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == (1, "")
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert err.endswith(f"error: argument {flag}: integer too long (5000 digits)\n")
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_long_malformed_range_is_echoed_as_a_prefix(self, tmp_path, capsys):
+        value = "x" * 10_000
+        code, text = run(
+            ["census", "--r", "2", "--degrees", value, "--n", "3..4",
+             "--j", "1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert "error: argument --degrees: expected 'lo..hi', got 'xxx" in err
+
+    def test_non_integer_flag_keeps_the_int_message(self, capsys):
+        assert run(["chern", "--n", "x", "T"]) == (1, "")
+        assert capsys.readouterr().err.endswith(
+            "multisecant chern: error: argument --n: invalid int value: 'x'\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, message",
         [
