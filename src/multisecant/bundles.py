@@ -35,24 +35,21 @@ if TYPE_CHECKING:
 class ChernVector(Record):
     """Chern data c_0..c_r of a rank-r bundle on P^n.
 
-    ``codim`` is the rank r: the codimension of X for normal-bundle data.
+    ``c`` holds one entry per degree, so it fixes the rank (``codim``).
     ``abstract`` is True for data given by ``make`` and False for
     split-built bundles.
     """
 
-    __slots__ = ("ambient_dim", "codim", "c", "degree", "abstract")
+    __slots__ = ("ambient_dim", "c", "degree", "abstract")
 
-    def __init__(self, ambient_dim: int, codim: int, c: tuple, degree: int, abstract: bool):
+    def __init__(self, ambient_dim: int, c: tuple, degree: int, abstract: bool):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if codim < 1:
+        if len(c) < 2:
             raise ValueError("codimension must be >= 1")
-        if len(c) != codim + 1:
-            raise ValueError(f"need c_0..c_{codim}, got {len(c)} entries")
         if c[0] != 1:
             raise ValueError("c_0 must be 1")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "codim", codim)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "abstract", abstract)
@@ -68,6 +65,11 @@ class ChernVector(Record):
         """
         d = None if degree is None else operator.index(degree)
         return _chern_data(ambient_dim, tuple(map(operator.index, c)), True, d)
+
+    @property
+    def codim(self) -> int:
+        """The rank r, len(c) - 1: the codimension of X for normal-bundle data."""
+        return len(self.c) - 1
 
     @property
     def degree_consistent(self) -> bool:
@@ -93,9 +95,7 @@ def _chern_data(
     if not abstract:
         c = [x if k <= ambient_dim else 0 for k, x in enumerate(c)]
     c = tuple(c)
-    return ChernVector(
-        ambient_dim, len(c) - 1, c, c[-1] if degree is None else degree, abstract
-    )
+    return ChernVector(ambient_dim, c, c[-1] if degree is None else degree, abstract)
 
 
 # -- constructors -------------------------------------------------------
@@ -151,18 +151,17 @@ def twist(e: ChernVector, t: int) -> ChernVector:
     """E(t) = E tensor O(t).
 
     Chern data transforms by c_k(E(t)) = sum_i binom(r-i, k-i) c_i t^(k-i)
-    with r the rank.  A twisted split bundle stays split (and truncated);
-    twisted abstract data re-derives its degree from the twisted top
-    class, so the result is self-consistent.
+    with r the rank.  The twist keeps ``abstract``, and ``_chern_data``
+    does the rest: a twisted split bundle stays split (and truncated), and
+    twisted abstract data takes the twisted top class as its degree, so
+    the result is self-consistent.
     """
     r, cs = e.codim, e.c
     new_c = [
         sum(math.comb(r - i, k - i) * cs[i] * t ** (k - i) for i in range(k + 1))
         for k in range(r + 1)
     ]
-    if e.abstract:
-        return ChernVector.make(e.ambient_dim, new_c)
-    return _chern_data(e.ambient_dim, new_c, False)
+    return _chern_data(e.ambient_dim, new_c, e.abstract)
 
 
 def top_chern_twisted(e: ChernVector, t: int) -> int:

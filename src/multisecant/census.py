@@ -121,17 +121,19 @@ CensusRow.__doc__ = """One complete intersection with its computed invariants.
 class _Sweep:
     """Rows built from three caches that live as long as one sweep.
 
-    ``values`` maps (degrees, j) to the value columns, the two flags, the
-    factors c_r(E(-i)) for i = 0..j and whether any of them with i >= 1
-    vanishes; ``verdicts`` maps (n, r, j, that flag) to the jnormal and zak
-    outcomes.  This is exact because the criterion holds only when every
-    hypothesis does, so which factor vanishes never changes its outcome,
-    and zak reads only (n, r).  Both j-normality bounds grow with n and
-    hold from ``jnormal_min_ambient_dim(r, j)`` on, so ``jnormals`` maps
-    (r, j, that flag, whether n reaches that least n) to the jnormal
-    outcome, and a verdict miss costs one zak check.  The value part is
-    exact only for n > r, and a row with n > r and j > 0 cannot raise in
-    its verdicts, so the value part is stored where it is built for those
+    ``values`` maps (degrees, j) to the value columns and whether any
+    factor c_r(E(-i)) with i >= 1 vanishes; ``verdicts`` maps (n, r, j,
+    that flag) to the jnormal and zak outcomes.  This is exact because the
+    criterion holds only when every hypothesis does, so which factor
+    vanishes never changes its outcome, and zak reads only (n, r).  Both
+    j-normality bounds grow with n and hold from
+    ``jnormal_min_ambient_dim(r, j)`` on, so ``jnormals`` maps (r, j, that
+    flag, whether n reaches that least n) to the jnormal outcome, and a
+    verdict miss costs one zak check.  A jnormal miss builds its own
+    bundle and runs the full check, which evaluates its own factors; a
+    benchmark sweep has a handful of them.  The value part is exact only
+    for n > r, and a row with n > r and j > 0 cannot raise in its
+    verdicts, so the value part is stored where it is built for those
     rows only.  A row with n <= r or j < 1 never takes its jnormal outcome
     from the cache: it raises in the full check, as ``compute_row`` always
     has, and stores nothing.  A row of j above ``_MAX_J`` raises
@@ -148,37 +150,33 @@ class _Sweep:
         degrees = tuple(degrees)
         r = len(degrees)
         values = self.values.get((degrees, j))
-        bundle = None
         if values is None:
             if j > _MAX_J:
                 raise HypothesisError(f"census j {j} exceeds the limit of {_MAX_J}")
-            bundle = complete_intersection_bundle(n, degrees)
-            report = multisecant_report(bundle, j)
+            e = complete_intersection_bundle(n, degrees)
+            report = multisecant_report(e, j)
             total_degree = math.prod(degrees)
             # for a split bundle the top Chern number is the product of the degrees
-            d_consistent = bundle.c[r] == total_degree
+            d_consistent = e.c[r] == total_degree
             values = (
                 str(total_degree),
-                ";".join(map(str, bundle.c[: n + 1])),
+                ";".join(map(str, e.c[: n + 1])),
                 ";".join(map(str, report.factors)),
                 str(report.value),
-                "false" if report.integral else "true",
+                "false" if report.value.denominator == 1 else "true",
                 "true" if d_consistent else "false",
-                report.factors,
                 0 in report.factors[1:],
             )
             if n > r and j > 0:
                 self.values[degrees, j] = values
-        degree, chern, twisted, secant, warning, consistent, factors, vanishes = values
+        degree, chern, twisted, secant, warning, consistent, vanishes = values
         verdicts = self.verdicts.get((n, r, j, vanishes))
         if verdicts is None:
             # a row outside the range has no key, so it takes the full check
             key = (r, j, vanishes, n >= jnormal_min_ambient_dim(r, j)) if n > r and j > 0 else None
             jnormal = self.jnormals.get(key)
             if jnormal is None:
-                if bundle is None:
-                    bundle = complete_intersection_bundle(n, degrees)
-                jnormal = check_jnormal_bundle(bundle, j, factors).outcome
+                jnormal = check_jnormal_bundle(complete_intersection_bundle(n, degrees), j).outcome
             verdicts = (jnormal, check_linear_normality_zak(n, r).outcome)
             self.jnormals[key] = jnormal
             self.verdicts[n, r, j, vanishes] = verdicts

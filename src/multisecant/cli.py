@@ -164,9 +164,9 @@ def _cmd_secants(args, out) -> int:
     report = multisecant_report(value, args.j)
     factors = ", ".join(map(str, report.factors))
     flags = []
-    if report.possibly_degenerate:
+    if report.value == 0:
         flags.append("zero class: locus may have smaller dimension than expected")
-    if not report.integral:
+    if report.value.denominator != 1:
         flags.append("non-integral value: improper-dimension input")
     out.write(
         f"secant lines: {args.j + 1}-secants through a generic external point\n"

@@ -74,7 +74,7 @@ so no field spills into the next.  L^n = 0 kills the fields with
 d - |S| >= n, which the stages carry to the end: an L-exponent never
 falls, so a dead field feeds only dead fields.  As the fields are indexed
 by S, they are the term map as it stands: X + B is written out once as
-bytes, cut into fields by a ``struct.Struct`` built for the call, and
+bytes, cut into fields by ``struct.iter_unpack`` one at a time, and
 each field is read back unsigned less 2^(W-1), all at C level; the map
 keeps the nonzero fields, and only when d >= n drops the dead ones.
 
@@ -109,7 +109,7 @@ from functools import cache
 from itertools import repeat
 from math import comb, factorial, prod
 from operator import add, itemgetter, mul, sub
-from struct import Struct
+from struct import iter_unpack
 from typing import TYPE_CHECKING
 
 from .bundles import ChernVector, top_chern_twisted
@@ -221,14 +221,13 @@ def _step(p: int, q: int, acc: int, c: int, bits: int, width: int, bias: int):
     return up, uq
 
 
-def _terms(raw, step, size, floor):
-    """The term map of the ``size`` fields of ``step`` bytes each in
-    ``raw``, the little-endian bytes of X + B, less the dead masks S with
+def _terms(raw, step, floor):
+    """The term map of the fields of ``step`` bytes each in ``raw``, the
+    little-endian bytes of X + B, less the dead masks S with
     |S| <= floor = d - n.  Each field is read unsigned less 2^(8 step - 1)
-    and kept when nonzero, at C level unless some mask is dead.  The
-    ``Struct`` is built per call, as ``struct.unpack``'s module cache
-    would keep the format alive."""
-    chunks = Struct(f"{step}s" * size).unpack(raw)
+    and kept when nonzero, one field at a time and at C level unless some
+    mask is dead."""
+    chunks = map(itemgetter(0), iter_unpack(f"{step}s", raw))
     fields = map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (8 * step - 1)))
     if floor < 0:
         return dict(filter(itemgetter(1), enumerate(fields)))
@@ -275,7 +274,7 @@ def recursion_top_chern(e: ChernVector, k: int) -> FiberRingElement:
     step, size, d = width // 8, 2 << k, (k + 1) * r
     raw = (acc + bias).to_bytes(step * size, "little")
     p = q = acc = bias = None  # freed: the unpack's peak holds raw and the terms alone
-    return FiberRingElement(n, k + 1, d, _terms(raw, step, size, d - n))
+    return FiberRingElement(n, k + 1, d, _terms(raw, step, d - n))
 
 
 def closed_form_top_chern(e: ChernVector, k: int) -> FiberRingElement:

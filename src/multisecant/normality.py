@@ -10,8 +10,6 @@ secant locus) is not established and the criterion is silent.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .bundles import ChernVector, top_chern_twisted
 from .errors import HypothesisError, Record
 
@@ -97,25 +95,20 @@ def check_jnormal_general(
     return Verdict(outcome, hyps, "jnormal-secant-criterion", ())
 
 
-def check_jnormal_bundle(
-    e: ChernVector, j: int, factors: Sequence[int] | None = None
-) -> Verdict:
+def check_jnormal_bundle(e: ChernVector, j: int) -> Verdict:
     """j-normality for the zero locus of a section of a rank-r bundle.
 
     The secant hypothesis is replaced by nonvanishing of the twisted top
     Chern classes c_r(E(-i)) for i = 1..j, combined with the two numeric
     bounds at m = n - r.  The untwisted value c_r(E) also enters the
     product formula for the secant degree; it is reported as a note since
-    the criterion's displayed range starts at i = 1.  A caller that
-    already holds c_r(E(-i)) for i = 0..j (the ``factors`` of
-    ``multisecant_report(e, j)``) passes them so they are not evaluated
-    again.
+    the criterion's displayed range starts at i = 1.  Every factor is
+    evaluated here from ``e``, so the verdict depends on ``e`` and j alone.
     """
     if j < 1:
         raise HypothesisError(f"j must be >= 1, got {j}")
     m, r = _dimensions(e.ambient_dim, e.codim)
-    if factors is None:
-        factors = [top_chern_twisted(e, -i) for i in range(j + 1)]
+    factors = [top_chern_twisted(e, -i) for i in range(j + 1)]
     hyps = [
         _nonzero(f"top_chern_nonzero_twist_{i}", f"c_r(E(-{i})) != 0", factors[i])
         for i in range(1, j + 1)

@@ -31,16 +31,17 @@ from .errors import Record
 
 
 class SecantDegree(Record):
-    """A secant degree plus the caveats that travel with it.
+    """A secant degree and the factors c_r(E(-i)), i = 0..j, of its product.
 
-    ``possibly_degenerate`` marks a vanishing class: when the secant locus
-    has smaller dimension than expected the formula's class is zero, so a
-    zero value is a caveat, not a count.  ``integral`` is False when the
-    rational value is not an integer, which likewise signals
-    improper-dimension input.
+    Its caveats are read off the value: when the secant locus has smaller
+    dimension than expected the formula's class is zero, so a zero value
+    is a caveat, not a count; a value that is not an integer likewise
+    signals improper-dimension input.  The ``secants`` command prints both
+    on its ``flags:`` line, and a census row's ``integrality_warning``
+    column is the second.
     """
 
-    __slots__ = ("value", "factors", "possibly_degenerate", "integral")
+    __slots__ = ("value", "factors")
 
 
 def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
@@ -48,8 +49,7 @@ def multisecant_report(e: ChernVector, j: int) -> SecantDegree:
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
     factors = tuple(top_chern_twisted(e, -i) for i in range(j + 1))
-    value = Fraction(math.prod(factors), math.factorial(j + 1))
-    return SecantDegree(value, factors, value == 0, value.denominator == 1)
+    return SecantDegree(Fraction(math.prod(factors), math.factorial(j + 1)), factors)
 
 
 def trisecant_closed(cv: ChernVector) -> Fraction:

@@ -75,6 +75,28 @@ class TestGoldenOutputs:
         schema = json.loads(resources.files("multisecant").joinpath("schemas/verdict.schema.json").read_text())
         jsonschema.validate(record, schema)
 
+    @pytest.mark.parametrize(
+        "argv, degree, flags",
+        [
+            (
+                ["secants", "--n", "4", "--j", "2", "O(2)+O(2)"],
+                "0",
+                "zero class: locus may have smaller dimension than expected",
+            ),
+            (
+                ["secants", "--n", "5", "--j", "1", "N{r=2,c=[1,1,1]}"],
+                "1/2",
+                "non-integral value: improper-dimension input",
+            ),
+        ],
+        ids=["zero-class", "non-integral"],
+    )
+    def test_secants_flags_line(self, argv, degree, flags):
+        # the flags are read off the value: zero, or not an integer
+        code, text = run(argv)
+        assert code == 0
+        assert text.splitlines()[2:] == [f"degree: {degree}", f"flags: {flags}"]
+
     def test_segre(self):
         check_golden(
             "segre_n144_p4_k2.txt",

@@ -34,17 +34,16 @@ RECORDS = [
         "AbstractNormalExpr(codim=2, c=(1, 4, 4), degree=None)",
     ),
     (
-        lambda: ChernVector(4, 2, (1, 4, 4), 4, False),
-        "ChernVector(ambient_dim=4, codim=2, c=(1, 4, 4), degree=4, abstract=False)",
+        lambda: ChernVector(4, (1, 4, 4), 4, False),
+        "ChernVector(ambient_dim=4, c=(1, 4, 4), degree=4, abstract=False)",
     ),
     (
         lambda: TruncatedClassPoly(2, (1, Fraction(1, 2), 0)),
         "TruncatedClassPoly(ambient_dim=2, coeffs=(1, Fraction(1, 2), 0))",
     ),
     (
-        lambda: SecantDegree(Fraction(8), (4, 4), False, True),
-        "SecantDegree(value=Fraction(8, 1), factors=(4, 4), possibly_degenerate=False, "
-        "integral=True)",
+        lambda: SecantDegree(Fraction(8), (4, 4)),
+        "SecantDegree(value=Fraction(8, 1), factors=(4, 4))",
     ),
     (
         lambda: Hypothesis("codim_bound", "6r <= m-4", 12, 2, False),
@@ -94,11 +93,11 @@ def test_equality_needs_the_same_class():
     [
         lambda: LineBundleExpr(a=2),
         lambda: TwistExpr(LineBundleExpr(1), t=-2),
-        lambda: SecantDegree(Fraction(8), (4, 4), False, integral=True),
+        lambda: SecantDegree(Fraction(8), factors=(4, 4)),
         lambda: LineBundleExpr(),
         lambda: LineBundleExpr(1, 2),
         lambda: TangentExpr(0),
-        lambda: SecantDegree(Fraction(8), (4, 4), False),
+        lambda: SecantDegree(Fraction(8)),
     ],
     ids=["keyword", "mixed", "keyword-last", "too-few", "too-many", "fieldless", "one-short"],
 )
